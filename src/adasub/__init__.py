@@ -25,7 +25,6 @@ from .engine import (
     evaluate_exact,
     evaluate_mc,
     f_avg_exact,
-    f_avg_mc,
     limit_rounds,
     marginal,
     marginals_for,
@@ -53,7 +52,6 @@ from .model import (
     expand_product,
     is_consistent,
     is_subrealization,
-    posterior,
 )
 from .instances import (
     BagCountUtility,

@@ -208,27 +208,23 @@ def _execute(
 EXACT_SEED = 0x5EED  # fixed internal seed so exact mode stays deterministic
 
 
+_DRAW = _Singleton("draw")  # run_policy default: draw theta from the seed space
+
+
 def run_policy(
     policy: Policy,
     inst: Instance,
     phi: Realization,
     seed: int = 0,
-    theta: Any = "__draw__",
+    theta: Any = _DRAW,
     collect_rounds: bool = False,
 ) -> PolicyTrace:
     """Run a policy against one realization; deterministic given (policy, phi, seed)."""
-    if theta == "__draw__":
+    if theta is _DRAW:
         if len(policy.seed_space) == 1:
             theta = policy.seed_space[0][0]
         else:
-            u = float(np.random.default_rng(seed).random())
-            acc = 0.0
-            theta = policy.seed_space[-1][0]
-            for t, p in policy.seed_space:
-                acc += p
-                if u < acc:
-                    theta = t
-                    break
+            theta = _draw_theta(policy, float(np.random.default_rng(seed).random()))
     return _execute(policy, inst, phi, theta, rng_seed=seed, collect_rounds=collect_rounds)
 
 
@@ -237,16 +233,30 @@ def run_policy(
 _MARGINAL_CACHE: "WeakKeyDictionary[Instance, dict]" = WeakKeyDictionary()
 
 
-def marginal(f: UtilityFunction, prior: Prior, psi: PartialRealization, e: int) -> float:
+def marginal(
+    f: UtilityFunction,
+    prior: Prior,
+    psi: PartialRealization,
+    e: int,
+    cap: float | None = None,
+    base: float | None = None,
+) -> float:
     """Expected gain of observing element e on top of psi.
 
     Strict contract version: e must not be in dom(psi).  Policies use
     marginals_for, which returns 0 for already-observed elements instead.
+    With cap=Q the utility is replaced by min(f, Q).  base, when given, is
+    f(psi), so a caller scoring many elements evaluates it once.
     """
     if e in psi:
         raise AlreadyObservedError(f"element {e} already observed")
-    base = f(psi)
-    return math.fsum(p * (f(psi.extend(e, o)) - base) for o, p in prior.outcome_dist(e, psi))
+    if base is None:
+        base = f(psi)
+    dist = prior.outcome_dist(e, psi)
+    if cap is None:
+        return math.fsum(p * (f(psi.extend(e, o)) - base) for o, p in dist)
+    base = min(base, cap)
+    return math.fsum(p * (min(f(psi.extend(e, o)), cap) - base) for o, p in dist)
 
 
 def marginals_for(
@@ -276,19 +286,7 @@ def marginals_for(
         if v is None:
             if base is None:
                 base = inst.utility(psi)
-                if cap is not None:
-                    base = min(base, cap)
-            if cap is None:
-                v = math.fsum(
-                    p * (inst.utility(psi.extend(e, o)) - base)
-                    for o, p in inst.prior.outcome_dist(e, psi)
-                )
-            else:
-                v = math.fsum(
-                    p * (min(inst.utility(psi.extend(e, o)), cap) - base)
-                    for o, p in inst.prior.outcome_dist(e, psi)
-                )
-            cache[key] = v
+            v = cache[key] = marginal(inst.utility, inst.prior, psi, e, cap, base)
         out.append(v)
     return out
 
@@ -433,10 +431,6 @@ def evaluate_mc(policy: Policy, inst: Instance, samples: int, seed: int) -> Eval
         stderr=stderr,
         flags=tuple(sorted(flags)),
     )
-
-
-def f_avg_mc(policy: Policy, inst: Instance, samples: int, seed: int) -> EvalReport:
-    return evaluate_mc(policy, inst, samples, seed)
 
 
 # --- combinators -----------------------------------------------------------

@@ -17,7 +17,6 @@ import numpy as np
 from .engine import cap_value
 from .errors import (
     InconsistentObservationError,
-    InfeasibleError,
     MalformedInputError,
     TooLargeError,
 )
@@ -538,16 +537,16 @@ def build_random_tabular(
     m_realizations: int,
     seed: int = 0,
     universe_size: int | None = None,
-    max_attempts: int = 200,
 ) -> Instance:
     """Random correlated prior (m weighted realizations over binary outcomes)
-    with a coverage-composed utility, certified before use.
+    with a coverage-composed utility.
 
     The cover set of an element is the same for every outcome, so the value of
     a partial view depends only on which elements were picked.  Expected
     marginal gains are then independent of the conditioning prior, and the
     classic diminishing-returns argument for set cover applies verbatim under
-    *any* prior — the certification loop is a guard and accepts the first draw.
+    *any* prior: every draw is adaptive submodular and adaptive monotone.  The
+    test suite certifies this exhaustively on its acceptance corpus.
     """
     if n < 1:
         raise MalformedInputError("need at least one element")
@@ -555,32 +554,24 @@ def build_random_tabular(
         raise MalformedInputError(f"support size must lie in [1, 2^{n}]")
     if universe_size is None:
         universe_size = max(4, 2 * n)
-    from .verifiers import check_adaptive_monotone, check_adaptive_submodular
-
-    for attempt in range(max_attempts):
-        rng = np.random.default_rng([seed, attempt])
-        picks = rng.choice(2**n, size=m_realizations, replace=False)
-        rows = []
-        raw_w = rng.random(m_realizations) + 0.1
-        raw_w /= raw_w.sum()
-        for idx, code in enumerate(sorted(int(c) for c in picks)):
-            phi = tuple((code >> e) & 1 for e in range(n))
-            rows.append((phi, float(raw_w[idx])))
-        covers = []
-        for _e in range(n):
-            subset = sorted(u for u in range(universe_size) if rng.random() < 0.4)
-            covers.append([subset, subset])
-        inst = Instance(
-            name=f"tab-n{n}-m{m_realizations}-s{seed}",
-            n=n,
-            num_outcomes=2,
-            prior=TablePrior(rows, num_outcomes=2),
-            utility=CoverUtility(universe_size, covers),
-        )
-        if check_adaptive_monotone(inst).satisfied and check_adaptive_submodular(inst).satisfied:
-            return inst
-    raise InfeasibleError(
-        f"no certified instance after {max_attempts} draws (n={n}, m={m_realizations}, seed={seed})"
+    rng = np.random.default_rng([seed, 0])
+    picks = rng.choice(2**n, size=m_realizations, replace=False)
+    rows = []
+    raw_w = rng.random(m_realizations) + 0.1
+    raw_w /= raw_w.sum()
+    for idx, code in enumerate(sorted(int(c) for c in picks)):
+        phi = tuple((code >> e) & 1 for e in range(n))
+        rows.append((phi, float(raw_w[idx])))
+    covers = []
+    for _e in range(n):
+        subset = sorted(u for u in range(universe_size) if rng.random() < 0.4)
+        covers.append([subset, subset])
+    return Instance(
+        name=f"tab-n{n}-m{m_realizations}-s{seed}",
+        n=n,
+        num_outcomes=2,
+        prior=TablePrior(rows, num_outcomes=2),
+        utility=CoverUtility(universe_size, covers),
     )
 
 

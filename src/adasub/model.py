@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
@@ -332,7 +332,11 @@ class ProductPrior(Prior):
         self._nonzero = tuple(
             tuple((o, p) for o, p in enumerate(row) if p > 0) for row in rows
         )
-        self._cum = tuple(tuple(itertools.accumulate(row)) for row in rows)
+        # Cumulative sums over the nonzero outcomes only, so a draw can never
+        # land on an outcome of zero mass.
+        self._cum = tuple(
+            tuple(itertools.accumulate(p for _o, p in nz)) for nz in self._nonzero
+        )
 
     def support_size(self) -> int:
         size = 1
@@ -350,9 +354,11 @@ class ProductPrior(Prior):
     def sample(self, rng) -> Realization:
         us = rng.random(self.n)
         out = []
-        for e in range(self.n):
-            out.append(bisect_left(self._cum[e], float(us[e])))
-        return tuple(min(o, self.num_outcomes - 1) for o in out)
+        for e, nz in enumerate(self._nonzero):
+            # Rounding can leave the last cumulative sum just below 1.
+            i = min(bisect_right(self._cum[e], float(us[e])), len(nz) - 1)
+            out.append(nz[i][0])
+        return tuple(out)
 
     def _check_consistent(self, psi: PartialRealization) -> None:
         _validate_psi_range(psi, self.n, self.num_outcomes)
@@ -418,11 +424,6 @@ class ProductPrior(Prior):
         return rows
 
 
-def posterior(prior: Prior, psi: PartialRealization) -> Prior:
-    """Condition a prior on the observations in psi."""
-    return prior.condition(psi)
-
-
 def expand_product(prior: ProductPrior, cap: int = 10**6) -> TablePrior:
     """Materialize a product prior as an explicit table (error past `cap` rows)."""
     size = prior.support_size()
@@ -467,7 +468,7 @@ class Instance:
         others (the utility still scores the selected projection only).
     fast_marginals / fast_sav: optional exact shortcut hooks used by the
         policy engine when present; signatures match engine.marginals_for and
-        engine.sav_scores.
+        policies._sav_and_denom.
     """
 
     name: str

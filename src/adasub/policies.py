@@ -3,12 +3,16 @@
 Every constructor returns an engine.Policy whose play() generator follows the
 Select/Query/Stop protocol.  Policies keep their own view of observations
 (accumulated Query responses); the runner owns the global trace.
+
+The greedy, coverage, threshold, semi-adaptive and fixed-batch policies are
+one generator, _greedy, run with different budgets, observe rules, accept
+rules and coverage goals; calibrate_tau replays it to read off score paths.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Iterable
+from typing import Callable, Iterable
 from weakref import WeakKeyDictionary
 
 from .engine import (
@@ -58,17 +62,83 @@ def _spec_cost(spec: CoverageSpec, e: int) -> float:
     return 1.0 if spec.costs is None else spec.costs[e]
 
 
-# --- one greedy step, shared by every marginal-driven policy ----------------
+# --- the greedy kernel, shared by every marginal-driven policy ---------------
 
 
-def _greedy_step(
-    inst: Instance, view: dict[int, int], selected: set[int], cap: float | None = None
-) -> tuple[int, float]:
-    """Best (element, marginal) among unselected elements; ties to smallest id."""
-    cands = [e for e in range(inst.n) if e not in selected]
-    psi = PartialRealization(view)
-    scores = marginals_for(inst, psi, cands, cap)
-    return argmax_pairs(zip(cands, scores))
+def _greedy(
+    inst: Instance,
+    ctx: PolicyContext,
+    budget: int,
+    *,
+    batched: bool,
+    every: int | None = None,
+    eps: float | None = None,
+    gap: str = "ig",
+    goal: CoverageSpec | None = None,
+    accept: Callable[[float], bool] | None = None,
+):
+    """The greedy loop behind every marginal-driven policy.
+
+    Each step picks the unselected element with the best score, ties to the
+    smallest id, until `budget` elements are selected.  batched=False scores
+    expected marginals on the observed state through marginals_for
+    (sequential policies observe after every pick, so nothing is pending);
+    batched=True scores expected marginals after the pending batch resolves
+    through _sav_and_denom, even when the batch is empty.
+
+    Observation happens after every `every` picks; else, with eps given,
+    whenever the gap ratio of a non-empty batch drops below 1 - eps; else once
+    at the end.  A coverage goal caps scores at the quota, ranks them per unit
+    cost and stops the run once the quota is reached; when nothing left helps
+    in expectation the batch is resolved first, and with no batch outstanding
+    the run ends flagged "uncovered".  accept sees each best score before its
+    pick; False observes the batch and ends the run.
+    """
+    cap = goal.quota if goal is not None else None
+    view: dict[int, int] = {}
+    selected: set[int] = set()
+    pending: list[int] = []
+    while True:
+        psi = PartialRealization(view)
+        if goal is not None and covered(inst, psi, goal):
+            return
+        stuck = len(selected) >= budget
+        if not stuck:
+            cands = [e for e in range(inst.n) if e not in selected]
+            if batched:
+                scores, denom = _sav_and_denom(inst, psi, pending, cands, ctx, cap)
+            else:
+                scores, denom = marginals_for(inst, psi, cands, cap), 0.0
+            if goal is None:
+                e, best = argmax_pairs(zip(cands, scores))
+            else:
+                e, best = argmax_pairs((c, s / _spec_cost(goal, c)) for c, s in zip(cands, scores))
+                # Nothing left helps in expectation, either because the batch
+                # already reaches the quota on every branch or because the
+                # quota is out of reach.
+                stuck = best <= _EQ_TOL
+        if stuck and not pending:
+            if goal is not None:
+                ctx.flags.add("uncovered")
+            return
+        observe = stuck  # with a batch outstanding, resolve it and look again
+        if not stuck and eps is not None and pending:
+            open_elems = [x for x in range(inst.n) if x not in psi]
+            best_marg = max(marginals_for(inst, psi, open_elems, cap))
+            observe = _gap_ratio(max(scores), best_marg, denom, gap) < 1.0 - eps - _EQ_TOL
+        if not observe:
+            if accept is not None and not accept(best):
+                if pending:
+                    yield QUERY
+                return
+            selected.add(e)
+            pending.append(e)
+            yield Select(e)
+            observe = every is not None and len(pending) >= every
+        if observe:
+            resp = yield QUERY
+            view.update(resp)
+            pending.clear()
 
 
 def greedy_max(k: int) -> Policy:
@@ -79,14 +149,7 @@ def greedy_max(k: int) -> Policy:
     def play(inst: Instance, ctx: PolicyContext):
         if k > inst.n:
             raise MalformedInputError(f"budget {k} exceeds ground set size {inst.n}")
-        view: dict[int, int] = {}
-        selected: set[int] = set()
-        for _ in range(k):
-            e, _score = _greedy_step(inst, view, selected)
-            selected.add(e)
-            yield Select(e)
-            resp = yield QUERY
-            view.update(resp)
+        yield from _greedy(inst, ctx, k, batched=False, every=1)
 
     return Policy(name=f"greedy(k={k})", play=play)
 
@@ -101,25 +164,7 @@ def greedy_coverage(spec: CoverageSpec | None = None) -> Policy:
 
     def play(inst: Instance, ctx: PolicyContext):
         goal = _active_spec(inst, spec)
-        view: dict[int, int] = {}
-        selected: set[int] = set()
-        while not covered(inst, PartialRealization(view), goal):
-            cands = [e for e in range(inst.n) if e not in selected]
-            if not cands:
-                ctx.flags.add("uncovered")
-                return
-            psi = PartialRealization(view)
-            scores = marginals_for(inst, psi, cands, goal.quota)
-            e, best = argmax_pairs(
-                (c, s / _spec_cost(goal, c)) for c, s in zip(cands, scores)
-            )
-            if best <= _EQ_TOL:
-                ctx.flags.add("uncovered")
-                return
-            selected.add(e)
-            yield Select(e)
-            resp = yield QUERY
-            view.update(resp)
+        yield from _greedy(inst, ctx, inst.n, batched=False, every=1, goal=goal)
 
     return Policy(name="greedy-cov", play=play)
 
@@ -152,31 +197,10 @@ def threshold_policy(tau: float, coin_p: float = 0.0, mode: str = "marginal") ->
 
     def play(inst: Instance, ctx: PolicyContext):
         inclusive = bool(ctx.theta)
-        if mode == "marginal":
-            view: dict[int, int] = {}
-            selected: set[int] = set()
-            while len(selected) < inst.n:
-                e, score = _greedy_step(inst, view, selected)
-                if not _passes(score, tau, inclusive):
-                    return
-                selected.add(e)
-                yield Select(e)
-                resp = yield QUERY
-                view.update(resp)
-        else:
-            pending: list[int] = []
-            taken: set[int] = set()
-            while len(taken) < inst.n:
-                cands = [e for e in range(inst.n) if e not in taken]
-                savs, _denom = _sav_and_denom(inst, EMPTY, pending, cands, ctx)
-                e, score = argmax_pairs(zip(cands, savs))
-                if not _passes(score, tau, inclusive):
-                    break
-                taken.add(e)
-                pending.append(e)
-                yield Select(e)
-            if pending:
-                yield QUERY
+        yield from _greedy(
+            inst, ctx, inst.n, batched=mode == "sav", every=1 if mode == "marginal" else None,
+            accept=lambda score: _passes(score, tau, inclusive),
+        )
 
     name = f"threshold(tau={tau:.12g},p={coin_p:.12g}"
     name += ")" if mode == "marginal" else ",sav)"
@@ -184,36 +208,37 @@ def threshold_policy(tau: float, coin_p: float = 0.0, mode: str = "marginal") ->
     return Policy(name=name, play=play, seed_space=space)
 
 
-def _marginal_trajectories(inst: Instance) -> list[tuple[float, list[float]]]:
-    """Greedy run to exhaustion under each realization: (weight, score path)."""
-    out = []
-    for phi, w in inst.prior.support():
-        view: dict[int, int] = {}
-        selected: set[int] = set()
+def _score_paths(inst: Instance, mode: str) -> list[tuple[float, list[float]]]:
+    """(weight, best-score path) of the threshold kernel run to exhaustion,
+    one per realization; mode "sav" observes nothing before its last pick, so
+    it has a single weight-1 path."""
+    rows = inst.prior.support() if mode == "marginal" else [(None, 1.0)]
+    paths = []
+    for phi, w in rows:
         scores: list[float] = []
-        for _ in range(inst.n):
-            e, s = _greedy_step(inst, view, selected)
-            scores.append(s)
-            selected.add(e)
-            for e2, o2 in inst.observe(phi, e):
-                view.setdefault(e2, o2)
-        out.append((w, scores))
-    return out
 
+        def record(score: float) -> bool:
+            scores.append(score)
+            return True
 
-def _sav_trajectory(inst: Instance, ctx: PolicyContext) -> list[tuple[float, list[float]]]:
-    """Batch-mode score path; observation-free, so a single weight-1 path."""
-    pending: list[int] = []
-    taken: set[int] = set()
-    scores: list[float] = []
-    for _ in range(inst.n):
-        cands = [e for e in range(inst.n) if e not in taken]
-        savs, _denom = _sav_and_denom(inst, EMPTY, pending, cands, ctx)
-        e, s = argmax_pairs(zip(cands, savs))
-        scores.append(s)
-        taken.add(e)
-        pending.append(e)
-    return [(1.0, scores)]
+        run = _greedy(
+            inst, PolicyContext(seed=EXACT_SEED), inst.n, batched=mode == "sav",
+            every=1 if mode == "marginal" else None, accept=record,
+        )
+        resp = None
+        try:
+            while True:
+                action = run.send(resp)
+                if isinstance(action, Select):
+                    last, resp = action.element, None
+                else:
+                    # Mode "marginal" queries after every pick; the single
+                    # query of mode "sav" comes after its last pick.
+                    resp = dict(inst.observe(phi, last)) if phi is not None else {}
+        except StopIteration:
+            pass
+        paths.append((w, scores))
+    return paths
 
 
 def _count_until_fail(scores: list[float], tau: float, inclusive: bool) -> int:
@@ -257,10 +282,7 @@ def calibrate_tau(inst: Instance, i: float, mode: str = "marginal") -> Threshold
         raise MalformedInputError(f"unknown threshold mode {mode!r}")
     if i < 0 or i > inst.n:
         raise InfeasibleError(f"target count {i} outside [0, {inst.n}]")
-    if mode == "marginal":
-        trajs = _marginal_trajectories(inst)
-    else:
-        trajs = _sav_trajectory(inst, PolicyContext(seed=EXACT_SEED))
+    trajs = _score_paths(inst, mode)
 
     levels = sorted({s for _w, scores in trajs for s in scores}, reverse=True)
     if not levels:
@@ -304,42 +326,21 @@ def _sav_and_denom(
     try:
         branches = inst.prior.joint_dist(psi, pending, cap=cap_value("branch_cap"))
     except TooLargeError:
-        return _sav_mc(inst, psi, pending, cands, ctx, cap)
+        ctx.flags.add("sav-mc")
+        samples = cap_value("mc_fallback")
+        post = inst.prior.condition(psi)
+        branches = (
+            (tuple(phi[e] for e in pending), 1.0 / samples)
+            for phi in (post.sample(ctx.rng) for _ in range(samples))
+        )
     savs = [0.0] * len(cands)
     denom = 0.0
     for assign, p in branches:
-        ext = dict(zip(pending, assign))
-        psi_b = psi.union(PartialRealization(ext))
+        psi_b = psi.union(PartialRealization(dict(zip(pending, assign))))
         margs = marginals_for(inst, psi_b, cands, cap)
         for j, m in enumerate(margs):
             savs[j] += p * m
         denom += p * max(margs)
-    return savs, denom
-
-
-def _sav_mc(
-    inst: Instance,
-    psi: PartialRealization,
-    pending: list[int],
-    cands: list[int],
-    ctx: PolicyContext,
-    cap: float | None = None,
-) -> tuple[list[float], float]:
-    ctx.flags.add("sav-mc")
-    samples = cap_value("mc_fallback")
-    post = inst.prior.condition(psi)
-    rng = ctx.rng
-    savs = [0.0] * len(cands)
-    denom = 0.0
-    w = 1.0 / samples
-    for _ in range(samples):
-        phi = post.sample(rng)
-        ext = {e: phi[e] for e in pending}
-        psi_b = psi.union(PartialRealization(ext))
-        margs = marginals_for(inst, psi_b, cands, cap)
-        for j, m in enumerate(margs):
-            savs[j] += w * m
-        denom += w * max(margs)
     return savs, denom
 
 
@@ -418,6 +419,14 @@ def _gap_parts(
     return max(savs), best_marg, denom
 
 
+def _gap_ratio(best_sav: float, best_marg: float, denom: float, gap: str) -> float:
+    """Information gap ("ig") or restricted gap ("rig") from _gap_parts;
+    1.0 when the reference term vanishes."""
+    if denom <= 0.0:
+        return 1.0
+    return (best_sav if gap == "ig" else best_marg) / denom
+
+
 def information_gap(
     inst: Instance,
     state: SemiAdaptiveState,
@@ -426,10 +435,7 @@ def information_gap(
     """Best batch score over the expected adaptive best; 1.0 when the batch is
     empty or the reference term vanishes."""
     ctx = ctx or PolicyContext(seed=EXACT_SEED)
-    best_sav, _, denom = _gap_parts(inst, state.psi, list(state.pending), ctx)
-    if denom <= 0.0:
-        return 1.0
-    return best_sav / denom
+    return _gap_ratio(*_gap_parts(inst, state.psi, list(state.pending), ctx), "ig")
 
 
 def restricted_information_gap(
@@ -440,19 +446,10 @@ def restricted_information_gap(
     """Best pre-batch marginal (pending elements count as candidates) over the
     expected adaptive best; shares its denominator with information_gap."""
     ctx = ctx or PolicyContext(seed=EXACT_SEED)
-    _, best_marg, denom = _gap_parts(inst, state.psi, list(state.pending), ctx)
-    if denom <= 0.0:
-        return 1.0
-    return best_marg / denom
+    return _gap_ratio(*_gap_parts(inst, state.psi, list(state.pending), ctx), "rig")
 
 
 # --- semi-adaptive policies --------------------------------------------------
-
-
-def _gap_ratio(best_sav: float, best_marg: float, denom: float, gap: str) -> float:
-    if denom <= 0.0:
-        return 1.0
-    return (best_sav if gap == "ig" else best_marg) / denom
 
 
 def semi_adaptive_greedy_max(k: int, eps: float, gap: str = "ig") -> Policy:
@@ -468,32 +465,7 @@ def semi_adaptive_greedy_max(k: int, eps: float, gap: str = "ig") -> Policy:
     def play(inst: Instance, ctx: PolicyContext):
         if k > inst.n:
             raise MalformedInputError(f"budget {k} exceeds ground set size {inst.n}")
-        view: dict[int, int] = {}
-        selected: set[int] = set()
-        pending: list[int] = []
-        budget = k
-        while budget > 0:
-            cands = [e for e in range(inst.n) if e not in selected]
-            if not cands:
-                break
-            psi = PartialRealization(view)
-            savs, denom = _sav_and_denom(inst, psi, pending, cands, ctx)
-            if pending:
-                open_elems = [e for e in range(inst.n) if e not in psi]
-                best_marg = max(marginals_for(inst, psi, open_elems))
-                ratio = _gap_ratio(max(savs), best_marg, denom, gap)
-                if ratio < 1.0 - eps - _EQ_TOL:
-                    resp = yield QUERY
-                    view.update(resp)
-                    pending.clear()
-                    continue
-            e, _s = argmax_pairs(zip(cands, savs))
-            selected.add(e)
-            pending.append(e)
-            budget -= 1
-            yield Select(e)
-        if pending:
-            yield QUERY
+        yield from _greedy(inst, ctx, k, batched=True, eps=eps, gap=gap)
 
     return Policy(name=f"semi(k={k},eps={eps:.6g},{gap})", play=play)
 
@@ -514,50 +486,7 @@ def semi_adaptive_greedy_coverage(
 
     def play(inst: Instance, ctx: PolicyContext):
         goal = _active_spec(inst, spec)
-        view: dict[int, int] = {}
-        selected: set[int] = set()
-        pending: list[int] = []
-        while True:
-            if covered(inst, PartialRealization(view), goal):
-                return
-            cands = [e for e in range(inst.n) if e not in selected]
-            if not cands:
-                if pending:
-                    resp = yield QUERY
-                    view.update(resp)
-                    pending.clear()
-                    continue
-                ctx.flags.add("uncovered")
-                return
-            psi = PartialRealization(view)
-            savs, denom = _sav_and_denom(inst, psi, pending, cands, ctx, goal.quota)
-            if max(savs) <= _EQ_TOL:
-                # Nothing left helps in expectation, either because the batch
-                # already reaches the quota on every branch or because the
-                # quota is out of reach.  Resolve the batch first; with no
-                # batch outstanding the quota really is unreachable.
-                if pending:
-                    resp = yield QUERY
-                    view.update(resp)
-                    pending.clear()
-                    continue
-                ctx.flags.add("uncovered")
-                return
-            if pending:
-                open_elems = [e for e in range(inst.n) if e not in psi]
-                best_marg = max(marginals_for(inst, psi, open_elems, goal.quota))
-                ratio = _gap_ratio(max(savs), best_marg, denom, gap)
-                if ratio < 1.0 - eps - _EQ_TOL:
-                    resp = yield QUERY
-                    view.update(resp)
-                    pending.clear()
-                    continue
-            e, _s = argmax_pairs(
-                (c, s / _spec_cost(goal, c)) for c, s in zip(cands, savs)
-            )
-            selected.add(e)
-            pending.append(e)
-            yield Select(e)
+        yield from _greedy(inst, ctx, inst.n, batched=True, eps=eps, gap=gap, goal=goal)
 
     return Policy(name=f"semi-cov(eps={eps:.6g},{gap})", play=play)
 
@@ -575,27 +504,7 @@ def fixed_batch_greedy(r: int, k: int) -> Policy:
         raise MalformedInputError("budget must be >= 0")
 
     def play(inst: Instance, ctx: PolicyContext):
-        view: dict[int, int] = {}
-        selected: set[int] = set()
-        pending: list[int] = []
-        budget = min(k, inst.n)
-        while budget > 0:
-            cands = [e for e in range(inst.n) if e not in selected]
-            if not cands:
-                break
-            psi = PartialRealization(view)
-            savs, _denom = _sav_and_denom(inst, psi, pending, cands, ctx)
-            e, _s = argmax_pairs(zip(cands, savs))
-            selected.add(e)
-            pending.append(e)
-            budget -= 1
-            yield Select(e)
-            if len(pending) >= r:
-                resp = yield QUERY
-                view.update(resp)
-                pending.clear()
-        if pending:
-            yield QUERY
+        yield from _greedy(inst, ctx, min(k, inst.n), batched=True, every=r)
 
     return Policy(name=f"batch(r={r},k={k})", play=play)
 
@@ -620,49 +529,38 @@ _DP_MAX_CACHE: "WeakKeyDictionary[Instance, dict]" = WeakKeyDictionary()
 _DP_COV_CACHE: "WeakKeyDictionary[Instance, dict]" = WeakKeyDictionary()
 
 
-def _dp_value(inst: Instance, psi: PartialRealization, budget: int, memo: dict) -> float:
+def _dp_value(
+    inst: Instance, psi: PartialRealization, budget: int, memo: dict
+) -> tuple[float, int | None]:
+    """Best expected value with `budget` picks left after psi, and the first
+    pick attaining it (smallest id on ties; None when no pick is left)."""
     key = (psi.pairs, budget)
     hit = memo.get(key)
     if hit is not None:
         return hit
     if budget == 0 or len(psi) == inst.n:
-        v = inst.utility(psi)
+        best = (inst.utility(psi), None)
     else:
         if len(memo) >= cap_value("max_states"):
             raise TooLargeError(f"budget-{budget} optimum exceeds the state cap on {inst.name}")
-        v = -math.inf
+        best = (-math.inf, None)
         for e in range(inst.n):
             if e in psi:
                 continue
             ev = math.fsum(
-                p * _dp_value(inst, psi.extend(e, o), budget - 1, memo)
+                p * _dp_value(inst, psi.extend(e, o), budget - 1, memo)[0]
                 for o, p in inst.prior.outcome_dist(e, psi)
             )
-            if ev > v:
-                v = ev
-    memo[key] = v
-    return v
-
-
-def _dp_argmax(inst: Instance, psi: PartialRealization, budget: int, memo: dict) -> int:
-    best_e, best = None, -math.inf
-    for e in range(inst.n):
-        if e in psi:
-            continue
-        ev = math.fsum(
-            p * _dp_value(inst, psi.extend(e, o), budget - 1, memo)
-            for o, p in inst.prior.outcome_dist(e, psi)
-        )
-        if ev > best:
-            best_e, best = e, ev
-    assert best_e is not None
-    return best_e
+            if ev > best[0]:
+                best = (ev, e)
+    memo[key] = best
+    return best
 
 
 def optimal_value(inst: Instance, k: int) -> float:
     """Expected value of the best k-selection policy (exact, memoized)."""
     memo = _DP_MAX_CACHE.setdefault(inst, {})
-    return _dp_value(inst, EMPTY, min(k, inst.n), memo)
+    return _dp_value(inst, EMPTY, min(k, inst.n), memo)[0]
 
 
 def optimal_policy_dp(k: int) -> Policy:
@@ -677,49 +575,50 @@ def optimal_policy_dp(k: int) -> Policy:
     def play(inst: Instance, ctx: PolicyContext):
         memo = _DP_MAX_CACHE.setdefault(inst, {})
         psi = EMPTY
-        selected: set[int] = set()
-        for _ in range(min(k, inst.n)):
-            e = _dp_argmax(inst, psi, min(k, inst.n) - len(selected), memo)
-            selected.add(e)
+        for left in range(min(k, inst.n), 0, -1):
+            _, e = _dp_value(inst, psi, left, memo)
             yield Select(e)
             resp = yield QUERY
             psi = psi.extend(e, resp[e]) if e in resp else psi
-        return
 
     return Policy(name=f"opt-dp(k={k})", play=play)
 
 
-def _dp_cov_cost(inst: Instance, psi: PartialRealization, memo: dict, spec) -> float:
+def _dp_cov_cost(
+    inst: Instance, psi: PartialRealization, memo: dict, spec
+) -> tuple[float, int | None]:
+    """Least expected cost of reaching the quota from psi, and the first pick
+    attaining it (smallest id on ties; None once covered)."""
     key = psi.pairs
     hit = memo.get(key)
     if hit is not None:
         return hit
     if covered(inst, psi, spec):
-        v = 0.0
+        best = (0.0, None)
     elif len(psi) == inst.n:
         raise InfeasibleError(f"realization {psi!r} cannot reach the quota on {inst.name}")
     else:
         if len(memo) >= cap_value("max_states"):
             raise TooLargeError(f"coverage optimum exceeds the state cap on {inst.name}")
-        v = math.inf
+        best = (math.inf, None)
         for e in range(inst.n):
             if e in psi:
                 continue
             ev = _spec_cost(spec, e) + math.fsum(
-                p * _dp_cov_cost(inst, psi.extend(e, o), memo, spec)
+                p * _dp_cov_cost(inst, psi.extend(e, o), memo, spec)[0]
                 for o, p in inst.prior.outcome_dist(e, psi)
             )
-            if ev < v:
-                v = ev
-    memo[key] = v
-    return v
+            if ev < best[0]:
+                best = (ev, e)
+    memo[key] = best
+    return best
 
 
 def optimal_coverage_cost(inst: Instance, spec: CoverageSpec | None = None) -> float:
     """Expected cost of the cheapest quota-reaching policy (exact, memoized)."""
     goal = _active_spec(inst, spec)
     memo = _DP_COV_CACHE.setdefault(inst, {}).setdefault(goal, {})
-    return _dp_cov_cost(inst, EMPTY, memo, goal)
+    return _dp_cov_cost(inst, EMPTY, memo, goal)[0]
 
 
 def optimal_coverage_dp(spec: CoverageSpec | None = None) -> Policy:
@@ -733,19 +632,9 @@ def optimal_coverage_dp(spec: CoverageSpec | None = None) -> Policy:
             if len(psi) == inst.n:
                 ctx.flags.add("uncovered")
                 return
-            best_e, best = None, math.inf
-            for e in range(inst.n):
-                if e in psi:
-                    continue
-                ev = _spec_cost(goal, e) + math.fsum(
-                    p * _dp_cov_cost(inst, psi.extend(e, o), memo, goal)
-                    for o, p in inst.prior.outcome_dist(e, psi)
-                )
-                if ev < best:
-                    best_e, best = e, ev
-            assert best_e is not None
-            yield Select(best_e)
+            _, e = _dp_cov_cost(inst, psi, memo, goal)
+            yield Select(e)
             resp = yield QUERY
-            psi = psi.extend(best_e, resp[best_e]) if best_e in resp else psi
+            psi = psi.extend(e, resp[e]) if e in resp else psi
 
     return Policy(name="opt-cov-dp", play=play)

@@ -23,6 +23,7 @@ from .engine import (
     concat,
     f_avg_exact,
     c_avg_exact,
+    marginal,
     marginals_for,
     run_policy,
     truncate,
@@ -146,12 +147,7 @@ def _exact_marginal_fn(inst: Instance) -> Callable[[PartialRealization, int], fl
         key = (psi.pairs, e)
         v = memo.get(key)
         if v is None:
-            base = inst.utility(psi)
-            v = math.fsum(
-                p * (inst.utility(psi.extend(e, o)) - base)
-                for o, p in inst.prior.outcome_dist(e, psi)
-            )
-            memo[key] = v
+            v = memo[key] = marginal(inst.utility, inst.prior, psi, e)
         return v
 
     return marg

@@ -19,7 +19,6 @@ from adasub.engine import (
     evaluate_exact,
     evaluate_mc,
     f_avg_exact,
-    f_avg_mc,
     limit_rounds,
     marginal,
     marginals_for,
@@ -192,8 +191,6 @@ def test_mc_is_deterministic_given_seed(anti_inst):
     a = evaluate_mc(greedy_max(2), anti_inst, samples=50, seed=9)
     b = evaluate_mc(greedy_max(2), anti_inst, samples=50, seed=9)
     assert a == b
-    c = f_avg_mc(greedy_max(2), anti_inst, samples=50, seed=9)
-    assert c == a
 
 
 def test_report_row_shape(anti_inst):

@@ -213,11 +213,14 @@ def test_cover_sav_mc_fallback_flags(monkeypatch):
 
 
 def test_tabular_certified_first_draw():
-    inst = build_random_tabular(4, 6, seed=0)
+    # The builder no longer certifies its draws; this keeps the guard over the
+    # whole acceptance corpus.
     from adasub.verifiers import check_adaptive_monotone, check_adaptive_submodular
 
-    assert check_adaptive_submodular(inst).satisfied
-    assert check_adaptive_monotone(inst).satisfied
+    for s in range(100):
+        inst = build_random_tabular(3 + s % 4, 5 + s % 4, s)
+        assert check_adaptive_submodular(inst).satisfied, inst.name
+        assert check_adaptive_monotone(inst).satisfied, inst.name
 
 
 def test_tabular_m1_is_deterministic():

@@ -11,7 +11,7 @@ from adasub.errors import (
     MalformedInputError,
     TooLargeError,
 )
-from adasub.instances import CoverUtility, ModularUtility
+from adasub.instances import BagsPrior, CoverUtility, ModularUtility
 from adasub.model import (
     EMPTY,
     CoverageSpec,
@@ -22,7 +22,6 @@ from adasub.model import (
     expand_product,
     is_consistent,
     is_subrealization,
-    posterior,
 )
 
 # --- partial realizations -------------------------------------------------------
@@ -203,7 +202,7 @@ def test_condition_equals_posterior_ratio(prior, data):
     phi, _ = list(prior.support())[-1]
     k = data.draw(st.integers(0, prior.n))
     psi = PartialRealization.project(phi, range(k))
-    cond = posterior(prior, psi)
+    cond = prior.condition(psi)
     base = prior.mass(psi)
     for row, w in cond.support():
         assert math.isclose(w, prior.mass(PartialRealization(list(enumerate(row)))) / base,
@@ -244,6 +243,36 @@ def test_product_sampling_matches_marginals():
     for freq, target in zip(hits / trials, (0.7, 0.1)):
         sigma = math.sqrt(target * (1 - target) / trials)
         assert abs(freq - target) < 4 * sigma
+
+
+class _ConstRng:
+    """Stub generator whose every uniform draw is u."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size=None):
+        return self.u if size is None else np.full(size, self.u)
+
+    def permutation(self, n):
+        return np.arange(n)
+
+
+@pytest.mark.parametrize("u", [0.0, math.nextafter(1.0, 0.0)])
+def test_samplers_never_return_zero_mass(u):
+    bags = BagsPrior((1, 2, 4))
+    priors = [
+        TablePrior([((0, 1), 0.25), ((1, 0), 0.75)]),
+        ProductPrior([[0.0, 1.0], [0.5, 0.5]]),  # leading zero-mass outcome
+        # trailing zero-mass outcome; the normalized cumulative sum rounds to
+        # 0.9999999999999998, below the largest draw
+        ProductPrior([[0.1, 1.7, 0.3, 0.0]]),
+        bags,
+        bags.condition(PartialRealization([(0, 2), (3, 2)])),
+    ]
+    for prior in priors:
+        phi = prior.sample(_ConstRng(u))
+        assert prior.mass(PartialRealization(list(enumerate(phi)))) > 0, (prior, phi)
 
 
 def test_expand_product_equivalence():

@@ -15,6 +15,7 @@ from adasub.errors import AlreadyObservedError, InfeasibleError, MalformedInputE
 from adasub.instances import (
     CoverUtility,
     ModularUtility,
+    build_bags,
     build_random_tabular,
     build_truncation_pair,
 )
@@ -88,6 +89,11 @@ def test_greedy_coverage_cost_ratio(tiny_cover):
     spec = CoverageSpec(quota=2.0, costs=(1.0, 0.25, 1.0))
     tr = run_policy(greedy_coverage(spec), tiny_cover, (0, 0, 0))
     assert tr.selected == (1, 0)
+    semi = semi_adaptive_greedy_coverage(spec, 0.1)
+    assert run_policy(semi, tiny_cover, (0, 0, 0)).selected == (1, 0)
+    # without costs the batching variant picks in id order
+    plain = semi_adaptive_greedy_coverage(eps=0.1)
+    assert run_policy(plain, tiny_cover, (0, 0, 0)).selected == (0, 1)
 
 
 # --- threshold policies and calibration ------------------------------------------
@@ -133,10 +139,11 @@ def test_calibration_sav_mode(anti_inst):
     assert math.isclose(c_avg_exact(cal.policy(mode="sav"), anti_inst), 1.0, abs_tol=1e-9)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("seed", [0, 1, 2, "bags"])
 @pytest.mark.parametrize("mode", ["marginal", "sav"])
 def test_calibration_exactness_random(seed, mode):
-    inst = build_random_tabular(3, 4, seed=seed)
+    # bags-k3 is the one reveal-on-select instance
+    inst = build_bags(3) if seed == "bags" else build_random_tabular(3, 4, seed=seed)
     for i in range(inst.n + 1):
         cal = calibrate_tau(inst, i, mode=mode)
         c = c_avg_exact(cal.policy(mode=mode), inst)
