@@ -7,7 +7,6 @@ scoring install fast_marginals/fast_sav hooks on the built instance.
 """
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from typing import Any, Iterable, Sequence
@@ -389,90 +388,118 @@ def build_truncation_pair() -> tuple[Instance, Instance]:
     return f_inst, g_inst
 
 
+class _CoverTables:
+    """Arrays behind the cover scorer of one instance, built on first use."""
+
+    def __init__(self, prior: ProductPrior, utility: CoverUtility):
+        n, U = prior.n, utility.universe
+        m = utility.num_outcomes()
+        self.cover = utility.grid() > 0  # (n, m, U)
+        # Gains go through 0/1 masks; item weights enter once, through uw.
+        self.mask = self.cover.astype(float)
+        self.marg = np.zeros((n, m))
+        self.marg[:, : prior.num_outcomes] = prior.marginals
+        self.w_items = np.ones(U) if utility.weights is None else np.array(utility.weights)
+        # P(element leaves item u uncovered) and the expected gain weights.
+        self.miss = (self.marg[:, :, None] * ~self.cover).sum(axis=1)  # (n, U)
+        self.H = (self.marg[:, :, None] * self.mask).sum(axis=1)  # (n, U)
+        padded = np.pad(self.cover, ((0, 0), (0, 0), (0, -U % 64)))
+        self.words = np.packbits(padded, axis=2, bitorder="little").view(np.uint64)
+        # Nonzero outcomes per element, left-aligned: labels, probabilities and
+        # cumulative sums (padded with inf so no draw lands past the last one).
+        nonzero = self.marg > 0
+        self.nopts = nonzero.sum(axis=1)
+        self.labels = np.argsort(~nonzero, axis=1, kind="stable")
+        self.probs = np.take_along_axis(self.marg, self.labels, axis=1)
+        self.cum = np.where(np.arange(m) < self.nopts[:, None], self.probs.cumsum(axis=1), np.inf)
+
+
 def _cover_fast_hooks(prior: ProductPrior, utility: CoverUtility):
-    """Vectorized marginal/batch scoring for product priors over cover systems."""
+    """Vectorized marginal/batch scoring for product priors over cover systems.
+
+    Under the independent prior an item stays uncovered through the pending
+    batch with probability prod_p miss[p, u], so uncapped batch scores are
+    exact at any batch size and need no branches.  Only the two scores that
+    are nonlinear in the batch outcome walk its joint branches: the reference
+    term E_b[max_e marginal] and quota-capped scores.  Those branches are
+    enumerated under the branch cap and sampled past it (flagged "sav-mc").
+    """
 
     n = prior.n
+    U = utility.universe
     m = utility.num_outcomes()
-    grid = None  # (n, m, U), built on first use
-    marg = None  # (n, m) outcome probabilities
+    tables = None
 
-    def _ensure():
-        nonlocal grid, marg
-        if grid is None:
-            grid = utility.grid()
-            mm = np.zeros((n, m))
-            for e in range(n):
-                for o, p in enumerate(prior.marginals[e]):
-                    mm[e, o] = p
-            marg = mm
+    def _ensure() -> _CoverTables:
+        nonlocal tables
+        if tables is None:
+            tables = _CoverTables(prior, utility)
+        return tables
 
-    def _branches(pending, ctx):
-        """(outcome matrix (B, q), weights (B,)) for the pending batch."""
-        nnz = [prior._nonzero[e] for e in pending]
-        count = 1
-        for opts in nnz:
-            count *= len(opts)
+    def _branches(t: _CoverTables, pending: list[int], ctx):
+        """Covered-item words (B, ceil(U/64)) and weights (B,) of the batch's
+        joint outcomes: all of them, in itertools.product order, under the
+        branch cap; else seeded samples."""
+        sizes = t.nopts[pending]
+        count = math.prod(sizes.tolist())
         if count <= cap_value("branch_cap"):
-            outs = np.array(
-                [c for c in itertools.product(*[[o for o, _p in opts] for opts in nnz])],
-                dtype=int,
-            ).reshape(count, len(pending))
+            idx = np.indices(tuple(sizes)).reshape(len(pending), count)
             ws = np.ones(count)
-            for col, opts in enumerate(nnz):
-                probs = {o: p for o, p in opts}
-                ws *= np.array([probs[o] for o in outs[:, col]])
-            return outs, ws
-        if ctx is not None:
-            ctx.flags.add("sav-mc")
-        rng = ctx.rng if ctx is not None else np.random.default_rng(0)
-        B = cap_value("mc_fallback")
-        outs = np.empty((B, len(pending)), dtype=int)
-        for col, opts in enumerate(nnz):
-            labels = np.array([o for o, _p in opts])
-            probs = np.array([p for _o, p in opts])
-            outs[:, col] = labels[
-                np.searchsorted(np.cumsum(probs), rng.random(B), side="right").clip(
-                    0, len(labels) - 1
-                )
-            ]
-        return outs, np.full(B, 1.0 / B)
+            for p, row in zip(pending, idx):
+                ws *= t.probs[p, row]
+        else:
+            if ctx is not None:
+                ctx.flags.add("sav-mc")
+            rng = ctx.rng if ctx is not None else np.random.default_rng(0)
+            B = cap_value("mc_fallback")
+            # One (q, B) draw reads the same stream as q draws of B, one per
+            # pending element; each index is a right-side searchsorted.
+            u = rng.random((len(pending), B))
+            idx = np.zeros(u.shape, dtype=int)
+            for j in range(m):
+                idx += t.cum[pending, j][:, None] <= u
+            idx = np.minimum(idx, sizes[:, None] - 1)
+            ws = np.full(B, 1.0 / B)
+        packed = t.words[pending[0], t.labels[pending[0], idx[0]]]
+        for p, row in zip(pending[1:], idx[1:]):
+            packed |= t.words[p, t.labels[p, row]]
+        return packed, ws
 
     def fast_sav(inst, psi, pending, cands, ctx, cap=None):
-        _ensure()
-        w_items = (
-            np.ones(utility.universe)
-            if utility.weights is None
-            else np.array(utility.weights)
-        )
-        covered = np.zeros(utility.universe, dtype=bool)
+        t = _ensure()
+        pending = list(pending)
+        covered = np.zeros(U, dtype=bool)
         for e, o in psi.pairs:
-            covered |= grid[e, o] > 0
-        uw = w_items * ~covered
+            covered |= t.cover[e, o]
+        uw = t.w_items * ~covered
         blocked = set(psi.domain) | set(pending)
         allowed = np.array([e not in blocked for e in range(n)])
         if not allowed.any():
             return [0.0 for _ in cands], 0.0
+        denom = None
         if pending:
-            outs, ws = _branches(list(pending), ctx)
-            B = outs.shape[0]
-            branch_cov = np.zeros((B, utility.universe), dtype=bool)
-            for col, p in enumerate(pending):
-                branch_cov |= grid[p, outs[:, col]] > 0
-            R = uw * ~branch_cov
+            packed, ws = _branches(t, pending, ctx)
+            bits = np.unpackbits(packed.view(np.uint8), axis=1, count=U, bitorder="little")
+            R = uw * (bits == 0)  # (B, U) weights still uncovered per branch
+            if cap is None:
+                # The reference term needs the branches; the scores do not.
+                denom = float(ws @ (R @ t.H[allowed].T).max(axis=1))
+                R = (uw * t.miss[pending].prod(axis=0))[None, :]
+                ws = np.ones(1)
         else:
             R = uw[None, :]
             ws = np.ones(1)
-            B = 1
-        gains = R @ grid.reshape(n * m, utility.universe).T  # (B, n*m)
+        B = R.shape[0]
+        gains = R @ t.mask.reshape(n * m, U).T  # (B, n*m)
         if cap is not None:
-            base_val = float(w_items[covered].sum())
+            base_val = float(t.w_items[covered].sum())
             val_b = base_val + (uw.sum() - R.sum(axis=1))
             headroom = np.maximum(cap - val_b, 0.0)
             gains = np.minimum(gains, headroom[:, None])
-        eg = (gains.reshape(B, n, m) * marg[None, :, :]).sum(axis=2)  # (B, n)
+        eg = (gains.reshape(B, n, m) * t.marg[None, :, :]).sum(axis=2)  # (B, n)
         sav_all = ws @ eg
-        denom = float(ws @ eg[:, allowed].max(axis=1))
+        if denom is None:
+            denom = float(ws @ eg[:, allowed].max(axis=1))
         savs = [0.0 if e in blocked else float(sav_all[e]) for e in cands]
         return savs, denom
 

@@ -123,9 +123,7 @@ def _greedy(
             return
         observe = stuck  # with a batch outstanding, resolve it and look again
         if not stuck and eps is not None and pending:
-            open_elems = [x for x in range(inst.n) if x not in psi]
-            best_marg = max(marginals_for(inst, psi, open_elems, cap))
-            observe = _gap_ratio(max(scores), best_marg, denom, gap) < 1.0 - eps - _EQ_TOL
+            observe = _gap_ratio(inst, psi, scores, denom, gap, cap) < 1.0 - eps - _EQ_TOL
         if not observe:
             if accept is not None and not accept(best):
                 if pending:
@@ -314,9 +312,12 @@ def _sav_and_denom(
 
     Score of e: expected marginal of e after the pending batch resolves,
     E_b[ marginal(e | psi + b) ].  Reference term: E_b[ max_e marginal ],
-    the per-branch best the fully adaptive policy would see.  Exact when the
-    joint over pending enumerates under the branch cap, else a seeded Monte
-    Carlo fallback (flagged "sav-mc").  cap=Q scores against min(f, Q).
+    the per-branch best the fully adaptive policy would see.  cap=Q scores
+    against min(f, Q).  Exact when the joint over pending enumerates under the
+    branch cap, else a seeded Monte Carlo fallback flagged "sav-mc".  The cover
+    hook on product priors computes uncapped scores in closed form, exact at
+    any batch size, so there "sav-mc" means that the reference term or
+    quota-capped scores were sampled; uncapped cover scores never are.
     """
     if inst.fast_sav is not None:
         return inst.fast_sav(inst, psi, pending, cands, ctx, cap)
@@ -401,30 +402,34 @@ def semi_adaptive_value(
     return savs[0]
 
 
-def _gap_parts(
+def _gap_ratio(
     inst: Instance,
     psi: PartialRealization,
-    pending: list[int],
-    ctx: PolicyContext,
-    cap: float | None = None,
-) -> tuple[float, float, float]:
-    """(best batch score, best current marginal, reference term)."""
-    blocked = set(psi.domain) | set(pending)
+    scores: list[float],
+    denom: float,
+    gap: str,
+    cap: float | None,
+) -> float:
+    """Best batch score ("ig"), or best marginal on psi alone with pending
+    elements as candidates ("rig"), over the reference term denom; 1.0 when
+    denom vanishes.  Only "rig" scores anything beyond the batch scores."""
+    if gap == "ig":
+        top = max(scores)
+    else:
+        top = max(marginals_for(inst, psi, [e for e in range(inst.n) if e not in psi], cap))
+    return 1.0 if denom <= 0.0 else top / denom
+
+
+def _gap(inst: Instance, state: SemiAdaptiveState, ctx: PolicyContext | None, gap: str) -> float:
+    """Gap ratio of a decision state; 1.0 when no candidate is left."""
+    ctx = ctx or PolicyContext(seed=EXACT_SEED)
+    pending = list(state.pending)
+    blocked = set(state.psi.domain) | set(pending)
     cands = [e for e in range(inst.n) if e not in blocked]
     if not cands:
-        return 0.0, 0.0, 0.0
-    savs, denom = _sav_and_denom(inst, psi, pending, cands, ctx, cap)
-    open_elems = [e for e in range(inst.n) if e not in psi]
-    best_marg = max(marginals_for(inst, psi, open_elems, cap)) if open_elems else 0.0
-    return max(savs), best_marg, denom
-
-
-def _gap_ratio(best_sav: float, best_marg: float, denom: float, gap: str) -> float:
-    """Information gap ("ig") or restricted gap ("rig") from _gap_parts;
-    1.0 when the reference term vanishes."""
-    if denom <= 0.0:
         return 1.0
-    return (best_sav if gap == "ig" else best_marg) / denom
+    savs, denom = _sav_and_denom(inst, state.psi, pending, cands, ctx)
+    return _gap_ratio(inst, state.psi, savs, denom, gap, None)
 
 
 def information_gap(
@@ -434,8 +439,7 @@ def information_gap(
 ) -> float:
     """Best batch score over the expected adaptive best; 1.0 when the batch is
     empty or the reference term vanishes."""
-    ctx = ctx or PolicyContext(seed=EXACT_SEED)
-    return _gap_ratio(*_gap_parts(inst, state.psi, list(state.pending), ctx), "ig")
+    return _gap(inst, state, ctx, "ig")
 
 
 def restricted_information_gap(
@@ -445,8 +449,7 @@ def restricted_information_gap(
 ) -> float:
     """Best pre-batch marginal (pending elements count as candidates) over the
     expected adaptive best; shares its denominator with information_gap."""
-    ctx = ctx or PolicyContext(seed=EXACT_SEED)
-    return _gap_ratio(*_gap_parts(inst, state.psi, list(state.pending), ctx), "rig")
+    return _gap(inst, state, ctx, "rig")
 
 
 # --- semi-adaptive policies --------------------------------------------------

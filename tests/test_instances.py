@@ -27,7 +27,13 @@ from adasub.instances import (
     save_instance,
 )
 from adasub.model import EMPTY, PartialRealization
-from adasub.policies import SemiAdaptiveState, optimal_coverage_cost, sav_values
+from adasub.policies import (
+    SemiAdaptiveState,
+    _sav_and_denom,
+    information_gap,
+    optimal_coverage_cost,
+    sav_values,
+)
 from adasub.verifiers import verify_eta
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -206,6 +212,67 @@ def test_cover_sav_mc_fallback_flags(monkeypatch):
     inst = build_stochastic_cover(5, 8, 2, seed=1)
     ctx = PolicyContext(theta=None, seed=7)
     sav_values(inst, EMPTY, [0, 1, 2], [3, 4], ctx)
+    assert "sav-mc" in ctx.flags
+
+
+def _weighted_cover(n, universe, m, seed):
+    """A cover with unequal item weights (one of them zero) and one element
+    with a zero-mass outcome."""
+    doc = instance_to_doc(build_stochastic_cover(n, universe, m, seed=seed))
+    doc["utility"]["weights"] = [0.0] + [0.5 + 0.25 * (u % 4) for u in range(1, universe)]
+    doc["prior"]["marginals"][0] = [0.0] + [1.0 / (m - 1)] * (m - 1)
+    doc["coverage"]["quota"] = sum(doc["utility"]["weights"])
+    return instance_from_doc(doc)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("weighted", [False, True], ids=["unit", "weighted"])
+def test_cover_hooks_match_generic_random_states(m, weighted):
+    n, universe = 8, 12
+    build = _weighted_cover if weighted else build_stochastic_cover
+    inst = build(n, universe, m, seed=20 + m)
+    plain = dataclasses.replace(inst, fast_marginals=None, fast_sav=None)
+    rng = np.random.default_rng([m, weighted])
+    for _ in range(6):
+        order = [int(e) for e in rng.permutation(n)]
+        cut = int(rng.integers(0, n - 1))
+        phi = inst.prior.sample(rng)
+        psi = PartialRealization([(e, phi[e]) for e in order[:cut]])
+        pending = order[cut: cut + int(rng.integers(0, min(6, n - cut - 1) + 1))]
+        cands = [e for e in range(n) if e not in psi and e not in pending]
+        for cap in (None, inst.coverage.quota, 2.0):
+            ctx = PolicyContext(seed=EXACT_SEED)
+            fast, fast_ref = _sav_and_denom(inst, psi, pending, cands, ctx, cap)
+            slow, slow_ref = _sav_and_denom(plain, psi, pending, cands, ctx, cap)
+            assert np.allclose(fast, slow, rtol=0, atol=1e-12), (psi, pending, cap)
+            assert abs(fast_ref - slow_ref) <= 1e-12, (psi, pending, cap)
+            assert not ctx.flags
+
+
+def test_cover_uncapped_scores_exact_past_branch_cap(monkeypatch):
+    inst = build_stochastic_cover(5, 8, 2, seed=1)
+    batch, cands, quota = [0, 1, 2], [3, 4], inst.coverage.quota
+    exact = sav_values(inst, EMPTY, batch, cands, PolicyContext(seed=7))
+    exact_ref = _sav_and_denom(inst, EMPTY, batch, cands, PolicyContext(seed=7))[1]
+    exact_capped = sav_values(inst, EMPTY, batch, cands, PolicyContext(seed=7), quota)
+    # A cover whose batch outcomes matter to the reference term.
+    wide = build_stochastic_cover(8, 16, 3, seed=5)
+    wide_args = (wide, EMPTY, [0, 1, 2, 3, 4], [5, 6, 7])
+    wide_ref = _sav_and_denom(*wide_args, PolicyContext(seed=7))[1]
+    monkeypatch.setenv("ADASUB_BRANCH_CAP", "2")
+    monkeypatch.setenv("ADASUB_MC_FALLBACK", "500")
+    assert np.allclose(sav_values(inst, EMPTY, batch, cands, PolicyContext(seed=7)), exact,
+                       rtol=0, atol=1e-12)
+    ctx = PolicyContext(seed=7)
+    sampled_ref = _sav_and_denom(inst, EMPTY, batch, cands, ctx)[1]
+    assert sampled_ref != exact_ref and "sav-mc" in ctx.flags
+    # The samples follow the prior: 500 draws land within 10% (3.2% here).
+    assert abs(_sav_and_denom(*wide_args, PolicyContext(seed=7))[1] - wide_ref) < 0.1 * wide_ref
+    ctx = PolicyContext(seed=7)
+    information_gap(inst, SemiAdaptiveState.make(EMPTY, batch), ctx)
+    assert "sav-mc" in ctx.flags
+    ctx = PolicyContext(seed=7)
+    assert sav_values(inst, EMPTY, batch, cands, ctx, quota) != exact_capped
     assert "sav-mc" in ctx.flags
 
 
