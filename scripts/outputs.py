@@ -11,8 +11,11 @@ traces (with round views), threshold calibrations in both modes, DP values,
 batch scores and gap ratios, on bags-k3, the truncation pair, covers with
 n=5..8 and 2 or 3 outcomes, one weighted cover, 12 corpus tabular instances,
 the criterion-8 cover (sampled batch scores), and runs with the branch cap
-forced down to 3 so that every sampled fallback fires.  Takes under a
-minute on 2 CPUs.
+forced down to 3 so that every sampled fallback fires.  Also the exact
+reports, MC reports, traces and expected selection counts of concat,
+truncate and limit_rounds, every verifier on small inputs, and a policy
+that yields an unknown action, bare and inside each combinator.  Takes
+under a minute on 2 CPUs.
 """
 from __future__ import annotations
 
@@ -23,28 +26,53 @@ import sys
 import numpy as np
 
 from adasub import (
+    CoverageSpec,
     PartialRealization,
+    Policy,
+    QUERY,
+    STOP,
+    Select,
     SemiAdaptiveState,
     build_bags,
     build_random_tabular,
     build_stochastic_cover,
     build_truncation_pair,
     calibrate_tau,
+    check_adaptive_monotone,
+    check_adaptive_submodular,
+    concat,
     evaluate_exact,
     evaluate_mc,
+    expected_selection_count,
     fixed_batch_greedy,
+    fixed_sequence_policy,
     greedy_coverage,
     greedy_max,
     information_gap,
     instance_from_doc,
     instance_to_doc,
+    limit_rounds,
+    measure_superround_decay,
     optimal_coverage_cost,
+    optimal_coverage_dp,
+    optimal_policy_dp,
     optimal_value,
     restricted_information_gap,
     run_policy,
     sav_values,
     semi_adaptive_greedy_coverage,
     semi_adaptive_greedy_max,
+    threshold_policy,
+    truncate,
+    verify_batch_lemma8,
+    verify_corollary_delta,
+    verify_coverage_bound,
+    verify_eq_main,
+    verify_eta,
+    verify_hardness,
+    verify_lemma1,
+    verify_round_complexity,
+    verify_semi_max_bound,
 )
 from adasub.errors import AdasubError
 
@@ -118,7 +146,62 @@ def traces(inst, pols, count: int, seed: int) -> None:
         s = int(rng.integers(0, 2**31 - 1))
         for pol in pols:
             attempt(("trace", inst.name, pol.name, phi, s),
-                    run_policy, pol, inst, phi, s, None, True)
+                    lambda: run_policy(pol, inst, phi, s, collect_rounds=True))
+
+
+def combinators(inst, k: int, seed: int) -> None:
+    """Exact and MC reports, selection counts and traces of wrapped policies."""
+    inner = [greedy_max(k), semi_adaptive_greedy_max(k, 0.2), fixed_batch_greedy(2, k),
+             threshold_policy(0.5, 0.25), optimal_policy_dp(k)]
+    pols = [truncate(p, j) for p in inner for j in (0, 1, 2)]
+    pols += [limit_rounds(p, j) for p in inner for j in (0, 1, 2)]
+    pols += [concat(a, b) for a in inner[2:4] for b in (inner[0], inner[3], inner[4])]
+    pols.append(concat(truncate(inner[1], 1), limit_rounds(inner[2], 1)))
+    for pol in pols:
+        attempt(("exact", inst.name, pol.name), evaluate_exact, pol, inst)
+        attempt(("count", inst.name, pol.name), expected_selection_count, pol, inst)
+        attempt(("mc", inst.name, pol.name), evaluate_mc, pol, inst, 20, seed)
+    traces(inst, pols, 2, seed)
+
+
+def verifiers(inst, k: int) -> None:
+    """Every instance verifier; the coverage ones only with a coverage goal."""
+    opt = optimal_policy_dp(k)
+    attempt(("submodular", inst.name), check_adaptive_submodular, inst)
+    attempt(("monotone", inst.name), check_adaptive_monotone, inst)
+    for ell in (1, 2):
+        attempt(("lemma1", inst.name, ell), verify_lemma1, inst, opt, ell)
+        attempt(("lemma8", inst.name, ell), verify_batch_lemma8, inst, opt, ell, 0.1)
+        attempt(("semi-max", inst.name, ell), verify_semi_max_bound, inst, opt, ell, 0.1, k)
+    for i in (0, 1, 2):
+        attempt(("eq-main", inst.name, i), verify_eq_main, inst, opt, i)
+    for t in (0, 1):
+        attempt(("decay", inst.name, t), measure_superround_decay, inst, 0.2, 0.1, 20, 3, None, t)
+    if inst.coverage is not None:
+        attempt(("eta", inst.name), verify_eta, inst)
+        attempt(("eta", inst.name, "spec"), verify_eta, inst, CoverageSpec(quota=2.0, eta=1.5))
+        attempt(("coverage-bound", inst.name), verify_coverage_bound, inst, None,
+                optimal_coverage_dp())
+        attempt(("corollary-delta", inst.name), verify_corollary_delta, inst, None,
+                optimal_coverage_dp())
+
+
+def unknown_action(inst) -> None:
+    """A policy yielding something that is not an action, bare and wrapped."""
+
+    def play(inst, ctx):
+        yield Select(0)
+        yield QUERY
+        yield "bogus"
+        yield Select(1)
+        yield QUERY
+        yield STOP
+
+    bad = Policy(name="bad", play=play)
+    seq = fixed_sequence_policy([2])
+    for pol in (bad, truncate(bad, 3), limit_rounds(bad, 3), concat(bad, seq), concat(seq, bad)):
+        attempt(("unknown-action", pol.name),
+                lambda: run_policy(pol, inst, (0,) * inst.n, collect_rounds=True))
 
 
 def weighted_cover(n: int, universe: int, seed: int):
@@ -156,8 +239,19 @@ def main() -> None:
             attempt(("opt-cov", inst.name), optimal_coverage_cost, inst)
         traces(inst, policies(inst, 3), 2, inst.n)
 
+    for inst in covers[:2] + [bags] + list(build_truncation_pair()):
+        combinators(inst, 2, inst.n)
+        verifiers(inst, 2)
+    unknown_action(covers[0])
+    for k, r in ((3, 2), (4, 4)):
+        attempt(("hardness", k, r), verify_hardness, k, r, 12, 5)
+    attempt(("rounds",), verify_round_complexity, covers[:4], 0.2, None, 6, 2)
+
     for s in range(12):
         inst = build_random_tabular(3 + s % 4, 5 + s % 4, s)
+        if s < 4:
+            combinators(inst, 2, s)
+            verifiers(inst, 2)
         exact_reports(inst, 2)
         batch_scores(inst, s)
         for k in (1, 2, 3):

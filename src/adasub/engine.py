@@ -1,15 +1,15 @@
 """Policy execution and expectation engine.
 
-A policy is an interactive procedure: it emits Select/Query/Stop actions and
-receives observed outcomes in response to Query.  Policies are written as
-generator functions so the runner can drive any of them, including
-combinators, through one protocol:
-
-    action = gen.send(response)   # response is the dict revealed by the
-                                  # previous Query, else None
+A policy is an interactive procedure written as a generator function.  It
+yields Select(e) and QUERY actions; each QUERY is answered with the dict of
+outcomes it revealed, each Select with None.  A run ends when the generator
+returns or yields STOP, and any other action is a PolicyBugError, inside
+combinators too.  _Run drives every policy, and every combinator's inner
+policies, through this protocol.
 
 Expectations are computed exactly by enumerating the prior support times the
-policy's seed space, or by Monte Carlo sampling with a seeded generator.
+policy's seed space, capped at max_support, or by Monte Carlo sampling with a
+seeded generator.
 """
 from __future__ import annotations
 
@@ -127,6 +127,32 @@ class PolicyTrace:
     round_views: tuple[PartialRealization, ...] | None = None
 
 
+class _Run:
+    """Iterator over the Select and QUERY actions of one policy generator.
+
+    A reply stored in `reply` is sent back on the next resume.  Iteration ends
+    when the generator returns or yields STOP; any other action raises
+    PolicyBugError naming the policy.
+    """
+
+    def __init__(self, gen: Iterator[Action], name: str):
+        self._gen = gen
+        self._name = name
+        self.reply: dict[int, int] | None = None
+
+    def __iter__(self) -> "_Run":
+        return self
+
+    def __next__(self) -> Action:
+        reply, self.reply = self.reply, None
+        action = self._gen.send(reply)  # a return raises StopIteration here
+        if action is STOP:
+            raise StopIteration
+        if action is not QUERY and not isinstance(action, Select):
+            raise PolicyBugError(f"{self._name} yielded unknown action {action!r}")
+        return action
+
+
 def _execute(
     policy: Policy,
     inst: Instance,
@@ -136,7 +162,6 @@ def _execute(
     collect_rounds: bool = False,
 ) -> PolicyTrace:
     ctx = PolicyContext(theta=theta, seed=rng_seed)
-    gen = policy.play(inst, ctx)
     f = inst.utility
     selected: list[int] = []
     sel_set: set[int] = set()
@@ -148,13 +173,8 @@ def _execute(
     last_val = f(EMPTY)
     round_views: list[PartialRealization] = [] if collect_rounds else None  # type: ignore
 
-    resp: dict[int, int] | None = None
-    while True:
-        try:
-            action = gen.send(resp)
-        except StopIteration:
-            break
-        resp = None
+    run = _Run(policy.play(inst, ctx), policy.name)
+    for action in run:
         if isinstance(action, Select):
             e = action.element
             if not (0 <= e < inst.n):
@@ -168,29 +188,25 @@ def _execute(
             val = f(PartialRealization.project(phi, selected))
             gains.append(val - last_val)
             last_val = val
-        elif action is QUERY:
-            # The response repeats outcomes of the queried elements even when
-            # a reveal hook exposed them earlier; a round is counted only if
-            # something genuinely new came back.
-            newly: dict[int, int] = {}
-            reply: dict[int, int] = {}
-            for p in pending:
-                reply[p] = phi[p]
-                for e2, o2 in inst.observe(phi, p):
-                    reply[e2] = o2
-                    if e2 not in observed:
-                        newly[e2] = o2
-            pending.clear()
-            if newly:
-                rounds += 1
-                observed.update(newly)
-                if collect_rounds:
-                    round_views.append(PartialRealization(observed))
-            resp = dict(sorted(reply.items()))
-        elif action is STOP:
-            break
-        else:
-            raise PolicyBugError(f"{policy.name} yielded unknown action {action!r}")
+            continue
+        # The response repeats outcomes of the queried elements even when a
+        # reveal hook exposed them earlier; a round is counted only if
+        # something genuinely new came back.
+        newly: dict[int, int] = {}
+        reply: dict[int, int] = {}
+        for p in pending:
+            reply[p] = phi[p]
+            for e2, o2 in inst.observe(phi, p):
+                reply[e2] = o2
+                if e2 not in observed:
+                    newly[e2] = o2
+        pending.clear()
+        if newly:
+            rounds += 1
+            observed.update(newly)
+            if collect_rounds:
+                round_views.append(PartialRealization(observed))
+        run.reply = dict(sorted(reply.items()))
 
     return PolicyTrace(
         selected=tuple(selected),
@@ -350,28 +366,38 @@ class EvalReport:
         }
 
 
-def evaluate_exact(policy: Policy, inst: Instance, max_support: int | None = None) -> EvalReport:
-    """Exact expectations by enumerating prior support x policy seed branches."""
+def _checked_support(inst: Instance, branches: int, max_support: int | None = None):
+    """The prior support, once support size x `branches` is within max_support."""
     cap = cap_value("max_support", max_support)
-    size = inst.prior.support_size() * len(policy.seed_space)
+    size = inst.prior.support_size() * branches
     if size > cap:
         raise TooLargeError(
             f"exact evaluation needs {size} traces (support x seed branches), cap {cap}"
         )
+    return inst.prior.support()
+
+
+def _exact_traces(
+    policy: Policy, inst: Instance, max_support: int | None = None
+) -> Iterator[tuple[float, PolicyTrace]]:
+    """(weight, trace) over prior support x policy seed branches, at EXACT_SEED."""
+    for phi, w in _checked_support(inst, len(policy.seed_space), max_support):
+        for theta, pt in policy.seed_space:
+            if pt > 0:
+                yield w * pt, _execute(policy, inst, phi, theta, rng_seed=EXACT_SEED)
+
+
+def evaluate_exact(policy: Policy, inst: Instance, max_support: int | None = None) -> EvalReport:
+    """Exact expectations by enumerating prior support x policy seed branches."""
     f_terms: list[float] = []
     c_terms: list[float] = []
     r_terms: list[float] = []
     flags: set[str] = set()
-    for phi, w in inst.prior.support():
-        for theta, pt in policy.seed_space:
-            if pt <= 0:
-                continue
-            tr = _execute(policy, inst, phi, theta, rng_seed=EXACT_SEED)
-            wp = w * pt
-            f_terms.append(wp * tr.value)
-            c_terms.append(wp * tr.cost)
-            r_terms.append(wp * tr.rounds)
-            flags.update(tr.flags)
+    for w, tr in _exact_traces(policy, inst, max_support):
+        f_terms.append(w * tr.value)
+        c_terms.append(w * tr.cost)
+        r_terms.append(w * tr.rounds)
+        flags.update(tr.flags)
     return EvalReport(
         policy=policy.name,
         instance=inst.name,
@@ -458,54 +484,30 @@ def concat(first: Policy, second: Policy) -> Policy:
         known: dict[int, int] = {}
         sel_first: set[int] = set()
 
-        gen = first.play(inst, ctx.child(t1, 1))
-        resp = None
-        while True:
-            try:
-                action = gen.send(resp)
-            except StopIteration:
-                break
-            resp = None
-            if isinstance(action, Select):
+        run = _Run(first.play(inst, ctx.child(t1, 1)), first.name)
+        for action in run:
+            if action is QUERY:
+                run.reply = yield QUERY
+                known.update(run.reply)
+            else:
                 sel_first.add(action.element)
                 yield action
-            elif action is QUERY:
-                revealed = yield QUERY
-                known.update(revealed)
-                resp = dict(revealed)
-            elif action is STOP:
-                break
-            else:
-                yield action
 
-        gen2 = second.play(inst, ctx.child(t2, 2))
-        resp = None
+        run = _Run(second.play(inst, ctx.child(t2, 2)), second.name)
         absorbed: list[int] = []
-        while True:
-            try:
-                action = gen2.send(resp)
-            except StopIteration:
-                break
-            resp = None
-            if isinstance(action, Select):
-                e = action.element
-                if e in sel_first:
-                    absorbed.append(e)  # already selected in phase one
+        for action in run:
+            if action is not QUERY:
+                if action.element in sel_first:
+                    absorbed.append(action.element)  # already selected in phase one
                 else:
                     yield action
-            elif action is QUERY:
-                revealed = yield QUERY
-                known.update(revealed)
-                merged = dict(revealed)
-                for e in absorbed:
-                    if e in known:
-                        merged[e] = known[e]
-                absorbed.clear()
-                resp = dict(sorted(merged.items()))
-            elif action is STOP:
-                break
-            else:
-                yield action
+                continue
+            revealed = yield QUERY
+            known.update(revealed)
+            merged = dict(revealed)
+            merged.update((e, known[e]) for e in absorbed if e in known)
+            absorbed.clear()
+            run.reply = dict(sorted(merged.items()))
 
     return Policy(
         name=f"{first.name}@{second.name}",
@@ -522,28 +524,17 @@ def truncate(policy: Policy, limit: int) -> Policy:
     def play(inst: Instance, ctx: PolicyContext):
         if limit == 0:
             return
-        gen = policy.play(inst, ctx.child(ctx.theta, 3))
-        resp = None
+        run = _Run(policy.play(inst, ctx.child(ctx.theta, 3)), policy.name)
         n_sel = 0
-        flush = False
-        while True:
-            try:
-                action = gen.send(resp)
-            except StopIteration:
-                break
-            resp = None
-            if isinstance(action, Select):
-                yield action
-                n_sel += 1
-                if n_sel >= limit:
-                    flush = True
-                    break
-            elif action is QUERY:
-                resp = yield QUERY
-            elif action is STOP:
-                break
-        if flush:
-            yield QUERY
+        for action in run:
+            if action is QUERY:
+                run.reply = yield QUERY
+                continue
+            yield action
+            n_sel += 1
+            if n_sel >= limit:
+                yield QUERY
+                return
 
     return Policy(name=f"{policy.name}[{limit}]", play=play, seed_space=policy.seed_space)
 
@@ -559,28 +550,20 @@ def limit_rounds(policy: Policy, max_rounds: int) -> Policy:
         raise MalformedInputError("round limit must be >= 0")
 
     def play(inst: Instance, ctx: PolicyContext):
-        gen = policy.play(inst, ctx.child(ctx.theta, 4))
-        resp = None
+        run = _Run(policy.play(inst, ctx.child(ctx.theta, 4)), policy.name)
         used = 0
         buffered: list[Select] = []
-        while True:
-            try:
-                action = gen.send(resp)
-            except StopIteration:
-                break
-            resp = None
-            if isinstance(action, Select):
+        for action in run:
+            if action is not QUERY:
                 buffered.append(action)
-            elif action is QUERY:
-                if used >= max_rounds:
-                    break
-                for sel in buffered:
-                    yield sel
-                buffered.clear()
-                used += 1
-                resp = yield QUERY
-            elif action is STOP:
-                break
+                continue
+            if used >= max_rounds:
+                return
+            for sel in buffered:
+                yield sel
+            buffered.clear()
+            used += 1
+            run.reply = yield QUERY
         # A trailing unqueried batch is dropped: it would need one more round.
 
     return Policy(name=f"{policy.name}^{max_rounds}", play=play, seed_space=policy.seed_space)

@@ -21,6 +21,8 @@ from .engine import (
     Policy,
     PolicyContext,
     Select,
+    _checked_support,
+    _Run,
     argmax_pairs,
     cap_value,
     marginals_for,
@@ -210,7 +212,7 @@ def _score_paths(inst: Instance, mode: str) -> list[tuple[float, list[float]]]:
     """(weight, best-score path) of the threshold kernel run to exhaustion,
     one per realization; mode "sav" observes nothing before its last pick, so
     it has a single weight-1 path."""
-    rows = inst.prior.support() if mode == "marginal" else [(None, 1.0)]
+    rows = _checked_support(inst, 1) if mode == "marginal" else [(None, 1.0)]
     paths = []
     for phi, w in rows:
         scores: list[float] = []
@@ -219,22 +221,17 @@ def _score_paths(inst: Instance, mode: str) -> list[tuple[float, list[float]]]:
             scores.append(score)
             return True
 
-        run = _greedy(
+        run = _Run(_greedy(
             inst, PolicyContext(seed=EXACT_SEED), inst.n, batched=mode == "sav",
             every=1 if mode == "marginal" else None, accept=record,
-        )
-        resp = None
-        try:
-            while True:
-                action = run.send(resp)
-                if isinstance(action, Select):
-                    last, resp = action.element, None
-                else:
-                    # Mode "marginal" queries after every pick; the single
-                    # query of mode "sav" comes after its last pick.
-                    resp = dict(inst.observe(phi, last)) if phi is not None else {}
-        except StopIteration:
-            pass
+        ), "threshold kernel")
+        for action in run:
+            if action is QUERY:
+                # Mode "marginal" queries after every pick; the single query
+                # of mode "sav" comes after its last pick.
+                run.reply = dict(inst.observe(phi, last)) if phi is not None else {}
+            else:
+                last = action.element
         paths.append((w, scores))
     return paths
 
@@ -311,38 +308,45 @@ def _sav_and_denom(
     """Batch scores and the adaptive reference term, in one pass.
 
     Score of e: expected marginal of e after the pending batch resolves,
-    E_b[ marginal(e | psi + b) ].  Reference term: E_b[ max_e marginal ],
-    the per-branch best the fully adaptive policy would see.  cap=Q scores
-    against min(f, Q).  Exact when the joint over pending enumerates under the
-    branch cap, else a seeded Monte Carlo fallback flagged "sav-mc".  The cover
-    hook on product priors computes uncapped scores in closed form, exact at
-    any batch size, so there "sav-mc" means that the reference term or
-    quota-capped scores were sampled; uncapped cover scores never are.
+    E_b[ marginal(e | psi + b) ].  Reference term: E_b[ max_e marginal ] over
+    every element outside psi and the batch, whatever the candidates: the
+    per-branch best the fully adaptive policy would see (0.0, with zero
+    scores, when no such element is left).  cap=Q scores against min(f, Q).
+    Exact when the joint over pending enumerates under the branch cap, else a
+    seeded Monte Carlo fallback flagged "sav-mc".  The cover hook on product
+    priors computes uncapped scores in closed form, exact at any batch size,
+    so there "sav-mc" means that the reference term or quota-capped scores
+    were sampled; uncapped cover scores never are.
     """
     if inst.fast_sav is not None:
         return inst.fast_sav(inst, psi, pending, cands, ctx, cap)
+    blocked = set(psi.domain) | set(pending)
+    free = [e for e in range(inst.n) if e not in blocked]
+    if not free:
+        return [0.0 for _ in cands], 0.0
     if not pending:
-        margs = marginals_for(inst, psi, cands, cap)
-        return list(margs), (max(margs) if margs else 0.0)
-    try:
-        branches = inst.prior.joint_dist(psi, pending, cap=cap_value("branch_cap"))
-    except TooLargeError:
-        ctx.flags.add("sav-mc")
-        samples = cap_value("mc_fallback")
-        post = inst.prior.condition(psi)
-        branches = (
-            (tuple(phi[e] for e in pending), 1.0 / samples)
-            for phi in (post.sample(ctx.rng) for _ in range(samples))
-        )
-    savs = [0.0] * len(cands)
+        branches = [((), 1.0)]
+    else:
+        try:
+            branches = inst.prior.joint_dist(psi, pending, cap=cap_value("branch_cap"))
+        except TooLargeError:
+            ctx.flags.add("sav-mc")
+            samples = cap_value("mc_fallback")
+            post = inst.prior.condition(psi)
+            branches = (
+                (tuple(phi[e] for e in pending), 1.0 / samples)
+                for phi in (post.sample(ctx.rng) for _ in range(samples))
+            )
+    savs = [0.0] * len(free)
     denom = 0.0
     for assign, p in branches:
         psi_b = psi.union(PartialRealization(dict(zip(pending, assign))))
-        margs = marginals_for(inst, psi_b, cands, cap)
+        margs = marginals_for(inst, psi_b, free, cap)
         for j, m in enumerate(margs):
             savs[j] += p * m
         denom += p * max(margs)
-    return savs, denom
+    by_elem = dict(zip(free, savs))
+    return [by_elem.get(e, 0.0) for e in cands], denom
 
 
 def sav_values(

@@ -17,8 +17,8 @@ from typing import Any, Callable, Iterable, Sequence
 import numpy as np
 
 from .engine import (
-    EXACT_SEED,
     Policy,
+    _exact_traces,
     cap_value,
     concat,
     f_avg_exact,
@@ -32,6 +32,7 @@ from .errors import InfeasibleError, MalformedInputError, TooLargeError
 from .instances import build_bags
 from .model import EMPTY, CoverageSpec, Instance, PartialRealization
 from .policies import (
+    _active_spec,
     calibrate_tau,
     fixed_batch_greedy,
     greedy_coverage,
@@ -81,27 +82,23 @@ class BoundCheckResult:
         }
 
 
-def _result(name: str, inst: Instance, lhs: float, rhs: float, witness: Any = None) -> BoundCheckResult:
+def _result(
+    name: str,
+    inst: Instance | str,
+    lhs: float,
+    rhs: float,
+    witness: Any = None,
+    satisfied: bool | None = None,
+) -> BoundCheckResult:
+    """Row for lhs >= rhs; `satisfied` overrides that test when given."""
     return BoundCheckResult(
         name=name,
-        instance=inst.name,
+        instance=inst if isinstance(inst, str) else inst.name,
         lhs=lhs,
         rhs=rhs,
         slack=lhs - rhs,
-        satisfied=lhs >= rhs - _TOL,
+        satisfied=lhs >= rhs - _TOL if satisfied is None else satisfied,
         witness=witness,
-    )
-
-
-def _skipped(name: str, inst: Instance, reason: str) -> BoundCheckResult:
-    return BoundCheckResult(
-        name=name,
-        instance=inst.name,
-        lhs=0.0,
-        rhs=0.0,
-        slack=0.0,
-        satisfied=True,
-        witness=f"skipped: {reason}",
     )
 
 
@@ -207,9 +204,7 @@ def check_adaptive_monotone(inst: Instance, max_states: int | None = None) -> Bo
 def verify_eta(inst: Instance, spec: CoverageSpec | None = None, max_states: int | None = None) -> BoundCheckResult:
     """Checks the quota's precision gap: no reachable state has utility
     strictly between Q - eta and Q."""
-    spec = spec if spec is not None else inst.coverage
-    if spec is None:
-        raise MalformedInputError(f"instance {inst.name} has no coverage goal")
+    spec = _active_spec(inst, spec)
     cap = cap_value("max_states", max_states)
     q, eta = spec.quota, spec.eta
     closest = -math.inf
@@ -222,30 +217,24 @@ def verify_eta(inst: Instance, spec: CoverageSpec | None = None, max_states: int
                 witness = f"f={v!r} at psi={psi!r}"
     if closest == -math.inf:
         closest = 0.0
-    return BoundCheckResult(
-        name="eta-gap",
-        instance=inst.name,
-        lhs=q - eta,
-        rhs=closest,
-        slack=(q - eta) - closest,
-        satisfied=witness is None,
-        witness=witness,
-    )
+    return _result("eta-gap", inst, q - eta, closest, witness, satisfied=witness is None)
 
 
 # --- expected-count helper ----------------------------------------------------
 
 
+def _value_and_count(policy: Policy, inst: Instance) -> tuple[float, float]:
+    """Exact f_avg and expected selection count of a policy, from one pass."""
+    f_terms, k_terms = [], []
+    for w, tr in _exact_traces(policy, inst):
+        f_terms.append(w * tr.value)
+        k_terms.append(w * len(tr.selected))
+    return math.fsum(f_terms), math.fsum(k_terms)
+
+
 def expected_selection_count(policy: Policy, inst: Instance) -> float:
     """Exact expected number of selections (not cost) of a policy."""
-    terms = []
-    for phi, w in inst.prior.support():
-        for theta, pt in policy.seed_space:
-            if pt <= 0:
-                continue
-            tr = run_policy(policy, inst, phi, seed=EXACT_SEED, theta=theta)
-            terms.append(w * pt * len(tr.selected))
-    return math.fsum(terms)
+    return _value_and_count(policy, inst)[1]
 
 
 # --- threshold-policy value bounds --------------------------------------------
@@ -254,14 +243,13 @@ def expected_selection_count(policy: Policy, inst: Instance) -> float:
 def verify_lemma1(inst: Instance, pi_star: Policy, ell: int) -> BoundCheckResult:
     """Value of the ell-calibrated threshold policy against the scaled optimum:
     f_avg(threshold_ell) >= (1 - e^{-ell/(E[K]+1)}) * f_avg(pi_star)."""
-    f_star = f_avg_exact(pi_star, inst)
+    f_star, ek = _value_and_count(pi_star, inst)
     if f_star <= _TOL:
         return _result("lemma1", inst, 0.0, 0.0, "vacuous: f_avg(opt)=0")
     try:
         cal = calibrate_tau(inst, ell)
     except InfeasibleError as exc:
-        return _skipped("lemma1", inst, f"calibration infeasible: {exc}")
-    ek = expected_selection_count(pi_star, inst)
+        return _result("lemma1", inst, 0.0, 0.0, f"skipped: calibration infeasible: {exc}")
     lhs = f_avg_exact(threshold_policy(cal.tau_i, cal.coin_p), inst)
     rhs = (1.0 - math.exp(-ell / (ek + 1.0))) * f_star
     return _result("lemma1", inst, lhs, rhs, f"ell={ell} EK={ek!r} f_star={f_star!r}")
@@ -273,17 +261,17 @@ def verify_eq_main(inst: Instance, pi_star: Policy, i: int) -> BoundCheckResult:
                    <= f_avg(threshold_i) + E[K] * (f_avg(threshold_i) - f_avg(threshold_{i-1})).
     Reported as one row: lhs = min of both chain gaps, rhs = 0."""
     if i < 1:
-        return _skipped("eq-main", inst, "i=0 needs the undefined level below the first")
+        return _result("eq-main", inst, 0.0, 0.0,
+                       "skipped: i=0 needs the undefined level below the first")
     try:
         cal_i = calibrate_tau(inst, i)
         cal_prev = calibrate_tau(inst, i - 1)
     except InfeasibleError as exc:
-        return _skipped("eq-main", inst, f"calibration infeasible: {exc}")
+        return _result("eq-main", inst, 0.0, 0.0, f"skipped: calibration infeasible: {exc}")
     pol_i = threshold_policy(cal_i.tau_i, cal_i.coin_p)
     pol_prev = threshold_policy(cal_prev.tau_i, cal_prev.coin_p)
-    a = f_avg_exact(pi_star, inst)
+    a, ek = _value_and_count(pi_star, inst)
     b = f_avg_exact(concat(pol_i, pi_star), inst)
-    ek = expected_selection_count(pi_star, inst)
     fi = f_avg_exact(pol_i, inst)
     fprev = f_avg_exact(pol_prev, inst)
     c = fi + ek * (fi - fprev)
@@ -296,9 +284,7 @@ def verify_eq_main(inst: Instance, pi_star: Policy, i: int) -> BoundCheckResult:
 
 def verify_coverage_bound(inst: Instance, spec: CoverageSpec | None, pi_star: Policy) -> BoundCheckResult:
     """Greedy coverage cost against (c* + 1) * ln(n Q / eta) + 1."""
-    spec = spec if spec is not None else inst.coverage
-    if spec is None:
-        raise MalformedInputError(f"instance {inst.name} has no coverage goal")
+    spec = _active_spec(inst, spec)
     c_star = c_avg_exact(pi_star, inst)
     c_greedy = c_avg_exact(greedy_coverage(spec), inst)
     bound = (c_star + 1.0) * math.log(inst.n * spec.quota / spec.eta) + 1.0
@@ -308,9 +294,7 @@ def verify_coverage_bound(inst: Instance, spec: CoverageSpec | None, pi_star: Po
 def verify_corollary_delta(inst: Instance, spec: CoverageSpec | None, pi_star: Policy) -> BoundCheckResult:
     """Greedy coverage cost against (c* + 1) * ln(Q / (delta eta)) + 1 with
     delta the smallest prior realization weight."""
-    spec = spec if spec is not None else inst.coverage
-    if spec is None:
-        raise MalformedInputError(f"instance {inst.name} has no coverage goal")
+    spec = _active_spec(inst, spec)
     delta = inst.prior.min_weight()
     c_star = c_avg_exact(pi_star, inst)
     c_greedy = c_avg_exact(greedy_coverage(spec), inst)
@@ -338,14 +322,13 @@ def verify_semi_max_bound(
 def verify_batch_lemma8(inst: Instance, pi_star: Policy, ell: int, eps: float) -> BoundCheckResult:
     """Batch-calibrated threshold policy against
     (1 - e^{-(1-eps) ell / (E[K]+1)}) * f_avg(pi_star)."""
-    f_star = f_avg_exact(pi_star, inst)
+    f_star, ek = _value_and_count(pi_star, inst)
     if f_star <= _TOL:
         return _result("batch-lemma8", inst, 0.0, 0.0, "vacuous: f_avg(opt)=0")
     try:
         cal = calibrate_tau(inst, ell, mode="sav")
     except InfeasibleError as exc:
-        return _skipped("batch-lemma8", inst, f"calibration infeasible: {exc}")
-    ek = expected_selection_count(pi_star, inst)
+        return _result("batch-lemma8", inst, 0.0, 0.0, f"skipped: calibration infeasible: {exc}")
     lhs = f_avg_exact(threshold_policy(cal.tau_i, cal.coin_p, mode="sav"), inst)
     rhs = (1.0 - math.exp(-(1.0 - eps) * ell / (ek + 1.0))) * f_star
     return _result("batch-lemma8", inst, lhs, rhs, f"ell={ell} eps={eps!r} EK={ek!r}")
@@ -459,29 +442,11 @@ def verify_round_complexity(
         ref = math.log(inst.n) * math.log(k)
         ratio = rounds / ref
         ratios.append(ratio)
-        rows.append(
-            BoundCheckResult(
-                name="round-complexity",
-                instance=inst.name,
-                lhs=rounds,
-                rhs=ref,
-                slack=rounds - ref,
-                satisfied=True,
-                witness=f"n={inst.n} k={k} ratio={ratio!r}",
-            )
-        )
+        rows.append(_result("round-complexity", inst, rounds, ref,
+                            f"n={inst.n} k={k} ratio={ratio!r}", satisfied=True))
     spread = max(ratios) / min(ratios) if min(ratios) > 0 else math.inf
-    rows.append(
-        BoundCheckResult(
-            name="round-complexity-ratio",
-            instance="family",
-            lhs=ratio_bound,
-            rhs=spread,
-            slack=ratio_bound - spread,
-            satisfied=ratio_bound >= spread - _TOL,
-            witness="ratios=" + ";".join(repr(r) for r in ratios),
-        )
-    )
+    rows.append(_result("round-complexity-ratio", "family", ratio_bound, spread,
+                        "ratios=" + ";".join(repr(r) for r in ratios)))
     return rows
 
 
@@ -509,24 +474,8 @@ def verify_hardness(k: int, r: int, trials: int, seed: int = 0) -> list[BoundChe
     mean = float(values.mean())
     stderr = float(values.std(ddof=1) / math.sqrt(trials))
     bound = (k / r) * (math.log2(r) ** 2 + 1.0)
-    rows = [
-        BoundCheckResult(
-            name="hardness-greedy",
-            instance=inst.name,
-            lhs=frac,
-            rhs=1.0,
-            slack=frac - 1.0,
-            satisfied=frac >= 1.0 - _TOL,
-            witness=f"k={k} trials={trials}",
-        ),
-        BoundCheckResult(
-            name="hardness-batch",
-            instance=inst.name,
-            lhs=bound + 3.0 * stderr,
-            rhs=mean,
-            slack=bound + 3.0 * stderr - mean,
-            satisfied=bound + 3.0 * stderr >= mean - _TOL,
-            witness=f"k={k} r={r} mean={mean!r} stderr={stderr!r}",
-        ),
+    return [
+        _result("hardness-greedy", inst, frac, 1.0, f"k={k} trials={trials}"),
+        _result("hardness-batch", inst, bound + 3.0 * stderr, mean,
+                f"k={k} r={r} mean={mean!r} stderr={stderr!r}"),
     ]
-    return rows

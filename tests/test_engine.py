@@ -301,6 +301,14 @@ def test_limit_rounds_drops_unqueried_tail(anti_inst):
     assert tr.selected == (0,)
 
 
+def test_unknown_action_inside_combinators_is_policy_bug(anti_inst):
+    bad = _policy_from_script([Select(0), QUERY, "bogus", Select(1), QUERY], name="bad")
+    seq = fixed_sequence_policy([1])
+    for pol in (bad, truncate(bad, 2), limit_rounds(bad, 2), concat(bad, seq), concat(seq, bad)):
+        with pytest.raises(PolicyBugError, match="^bad yielded unknown action 'bogus'$"):
+            run_policy(pol, anti_inst, (0, 1))
+
+
 # --- policy context ------------------------------------------------------------
 
 

@@ -233,6 +233,7 @@ def test_cover_hooks_match_generic_random_states(m, weighted):
     inst = build(n, universe, m, seed=20 + m)
     plain = dataclasses.replace(inst, fast_marginals=None, fast_sav=None)
     rng = np.random.default_rng([m, weighted])
+    sub_rng = np.random.default_rng([m, weighted, 1])
     for _ in range(6):
         order = [int(e) for e in rng.permutation(n)]
         cut = int(rng.integers(0, n - 1))
@@ -240,13 +241,24 @@ def test_cover_hooks_match_generic_random_states(m, weighted):
         psi = PartialRealization([(e, phi[e]) for e in order[:cut]])
         pending = order[cut: cut + int(rng.integers(0, min(6, n - cut - 1) + 1))]
         cands = [e for e in range(n) if e not in psi and e not in pending]
-        for cap in (None, inst.coverage.quota, 2.0):
-            ctx = PolicyContext(seed=EXACT_SEED)
-            fast, fast_ref = _sav_and_denom(inst, psi, pending, cands, ctx, cap)
-            slow, slow_ref = _sav_and_denom(plain, psi, pending, cands, ctx, cap)
-            assert np.allclose(fast, slow, rtol=0, atol=1e-12), (psi, pending, cap)
-            assert abs(fast_ref - slow_ref) <= 1e-12, (psi, pending, cap)
-            assert not ctx.flags
+        # The reference term ranges over every unblocked element, so a strict
+        # subset of candidates must leave it unchanged.
+        subset = sorted(int(e) for e in sub_rng.choice(
+            cands, size=int(sub_rng.integers(0, len(cands))), replace=False))
+        for cs in (cands, subset):
+            for cap in (None, inst.coverage.quota, 2.0):
+                ctx = PolicyContext(seed=EXACT_SEED)
+                fast, fast_ref = _sav_and_denom(inst, psi, pending, cs, ctx, cap)
+                slow, slow_ref = _sav_and_denom(plain, psi, pending, cs, ctx, cap)
+                assert np.allclose(fast, slow, rtol=0, atol=1e-12), (psi, pending, cs, cap)
+                assert abs(fast_ref - slow_ref) <= 1e-12, (psi, pending, cs, cap)
+                assert not ctx.flags
+    # Every element observed or pending: zero scores and a zero reference term.
+    psi = PartialRealization([(e, phi[e]) for e in order[:-2]])
+    for target in (inst, plain):
+        for cs in ([], order[-2:] + order[:1]):
+            scores, ref = _sav_and_denom(target, psi, order[-2:], cs, PolicyContext(seed=0))
+            assert scores == [0.0] * len(cs) and ref == 0.0
 
 
 def test_cover_uncapped_scores_exact_past_branch_cap(monkeypatch):

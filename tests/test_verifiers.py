@@ -5,12 +5,13 @@ import time
 import pytest
 
 from adasub.engine import c_avg_exact, f_avg_exact, marginal
-from adasub.errors import InfeasibleError, MalformedInputError
+from adasub.errors import InfeasibleError, MalformedInputError, TooLargeError
 from adasub.instances import build_bags, build_random_tabular, build_stochastic_cover
 from adasub.model import EMPTY, CoverageSpec, PartialRealization
 from adasub.policies import (
     calibrate_tau,
     greedy_coverage,
+    greedy_max,
     optimal_coverage_dp,
     optimal_policy_dp,
     threshold_policy,
@@ -112,6 +113,15 @@ def test_expected_selection_count(anti_inst):
     ek = expected_selection_count(pol, anti_inst)
     assert math.isclose(ek, c_avg_exact(pol, anti_inst), abs_tol=1e-12)
     assert math.isclose(ek, 1.0, abs_tol=1e-9)
+
+
+def test_support_cap_stops_count_and_calibration(anti_inst, monkeypatch):
+    monkeypatch.setenv("ADASUB_MAX_SUPPORT", "1")  # anti_inst has 2 realizations
+    with pytest.raises(TooLargeError):
+        expected_selection_count(greedy_max(1), anti_inst)
+    with pytest.raises(TooLargeError):
+        calibrate_tau(anti_inst, 1)
+    calibrate_tau(anti_inst, 1, mode="sav")  # enumerates no support
 
 
 # --- performance bounds ----------------------------------------------------------------
