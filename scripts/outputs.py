@@ -14,11 +14,17 @@ the criterion-8 cover (sampled batch scores), and runs with the branch cap
 forced down to 3 so that every sampled fallback fires.  Also the exact
 reports, MC reports, traces and expected selection counts of concat,
 truncate and limit_rounds, every verifier on small inputs, and a policy
-that yields an unknown action, bare and inside each combinator.  Takes
-under a minute on 2 CPUs.
+that yields an unknown action, bare and inside each combinator.  Bags-k4
+and bags-k5 add batch scores, sav-mode calibrations and (bags-k4) MC
+reports, none of which enumerates the support.  Two cap cases: DP values
+under a lowered state cap, fresh and after another budget on the same
+instance, and, under a lowered support cap, exact bags reports with and
+without a per-call override and the bags submodularity check.  Takes under
+a minute on 2 CPUs.
 """
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import os
 import sys
@@ -204,6 +210,17 @@ def unknown_action(inst) -> None:
                 lambda: run_policy(pol, inst, (0,) * inst.n, collect_rounds=True))
 
 
+@contextlib.contextmanager
+def env(**caps):
+    """Set ADASUB_* variables for the duration of the block."""
+    os.environ.update({"ADASUB_" + k.upper(): str(v) for k, v in caps.items()})
+    try:
+        yield
+    finally:
+        for k in caps:
+            del os.environ["ADASUB_" + k.upper()]
+
+
 def weighted_cover(n: int, universe: int, seed: int):
     doc = instance_to_doc(build_stochastic_cover(n, universe, 2, seed=seed))
     weights = [round(0.25 + 0.5 * ((u * 7 + seed) % 5), 2) for u in range(universe)]
@@ -221,6 +238,25 @@ def main() -> None:
     attempt(("opt-cov", bags.name), optimal_coverage_cost, bags)
     traces(bags, policies(bags, 3), 3, 1)
     attempt(("mc", bags.name), evaluate_mc, semi_adaptive_greedy_max(4, 0.2), build_bags(4), 50, 3)
+    for k in (4, 5):
+        inst = build_bags(k)
+        batch_scores(inst, k)
+        for i in (1, 1.5, k):
+            attempt(("calibrate", inst.name, "sav", i), calibrate_tau, inst, i, "sav")
+        if k == 4:
+            for pol in policies(inst, 3):
+                attempt(("mc", inst.name, pol.name), evaluate_mc, pol, inst, 20, k)
+
+    with env(max_states=121):
+        inst = build_random_tabular(5, 12, 3)
+        attempt(("opt-cap", inst.name, "fresh", 3), optimal_value, inst, 3)
+        inst = build_random_tabular(5, 12, 3)
+        for k in (2, 3):
+            attempt(("opt-cap", inst.name, "after-2", k), optimal_value, inst, k)
+    with env(max_support=50):
+        for cap in (None, 10**6):
+            attempt(("support-cap", bags.name, cap), evaluate_exact, greedy_max(1), bags, cap)
+        attempt(("support-cap", bags.name, "submodular"), check_adaptive_submodular, bags)
 
     for inst in build_truncation_pair():
         exact_reports(inst, 2)
@@ -263,9 +299,7 @@ def main() -> None:
     mid = build_stochastic_cover(16, 32, 2, seed=0)
     traces(mid, [semi_adaptive_greedy_max(8, 0.2), semi_adaptive_greedy_coverage(eps=0.2)], 4, 16)
 
-    os.environ["ADASUB_BRANCH_CAP"] = "3"
-    os.environ["ADASUB_MC_FALLBACK"] = "200"
-    try:
+    with env(branch_cap=3, mc_fallback=200):
         for inst in covers[:3] + [covers[-1], bags]:
             plain = dataclasses.replace(inst, name=inst.name + "-plain",
                                         fast_marginals=None, fast_sav=None)
@@ -274,8 +308,6 @@ def main() -> None:
                 for pol in policies(target, 3):
                     attempt(("mc", target.name, pol.name), evaluate_mc, pol, target, 20, 5)
                 attempt(("calibrate", target.name, "sav", 2), calibrate_tau, target, 2, "sav")
-    finally:
-        del os.environ["ADASUB_BRANCH_CAP"], os.environ["ADASUB_MC_FALLBACK"]
     emit("done")
 
 

@@ -205,11 +205,6 @@ class BagsPrior(Prior):
         return _multinomial(self.n - len(self._base), [c for c in free])
 
     def support(self):
-        cap = cap_value("max_support")
-        if self.support_size() > cap:
-            raise TooLargeError(
-                f"bag decomposition support {self.support_size()} exceeds cap {cap}"
-            )
         w = 1.0 / self.support_size()
         base = dict(self._base.pairs)
         unassigned = [e for e in range(self.n) if e not in base]
@@ -448,13 +443,11 @@ def _cover_fast_hooks(prior: ProductPrior, utility: CoverUtility):
             for p, row in zip(pending, idx):
                 ws *= t.probs[p, row]
         else:
-            if ctx is not None:
-                ctx.flags.add("sav-mc")
-            rng = ctx.rng if ctx is not None else np.random.default_rng(0)
+            ctx.flags.add("sav-mc")
             B = cap_value("mc_fallback")
             # One (q, B) draw reads the same stream as q draws of B, one per
             # pending element; each index is a right-side searchsorted.
-            u = rng.random((len(pending), B))
+            u = ctx.rng.random((len(pending), B))
             idx = np.zeros(u.shape, dtype=int)
             for j in range(m):
                 idx += t.cum[pending, j][:, None] <= u

@@ -466,12 +466,11 @@ class Instance:
         reveal(phi, e) -> iterable of (element, outcome) pairs instead of just
         (e, phi[e]).  Used by instance families where one observation exposes
         others (the utility still scores the selected projection only).
-    fast_marginals / fast_sav: optional shortcut hooks used by the policy
-        engine when present; signatures match engine.marginals_for and
-        policies._sav_and_denom.  They are exact except where that docstring
-        says (flag "sav-mc"): past the branch cap, the product-prior cover
-        hook samples the reference term and quota-capped scores, never
-        uncapped scores.
+    fast_marginals / fast_sav: optional scoring hooks, used when present.
+        fast_sav has the signature of policies._sav_and_denom, through which
+        policies score every decision state, empty batch included;
+        fast_marginals has that of engine.marginals_for and serves it.  Both
+        are exact except where the _sav_and_denom docstring says ("sav-mc").
     """
 
     name: str

@@ -6,7 +6,8 @@ Select/Query/Stop protocol.  Policies keep their own view of observations
 
 The greedy, coverage, threshold, semi-adaptive and fixed-batch policies are
 one generator, _greedy, run with different budgets, observe rules, accept
-rules and coverage goals; calibrate_tau replays it to read off score paths.
+rules and coverage goals; it scores every decision state, gap tests included,
+through _sav_and_denom.  calibrate_tau replays it to read off score paths.
 """
 from __future__ import annotations
 
@@ -72,8 +73,7 @@ def _greedy(
     ctx: PolicyContext,
     budget: int,
     *,
-    batched: bool,
-    every: int | None = None,
+    every: int,
     eps: float | None = None,
     gap: str = "ig",
     goal: CoverageSpec | None = None,
@@ -82,19 +82,18 @@ def _greedy(
     """The greedy loop behind every marginal-driven policy.
 
     Each step picks the unselected element with the best score, ties to the
-    smallest id, until `budget` elements are selected.  batched=False scores
-    expected marginals on the observed state through marginals_for
-    (sequential policies observe after every pick, so nothing is pending);
-    batched=True scores expected marginals after the pending batch resolves
-    through _sav_and_denom, even when the batch is empty.
+    smallest id, until `budget` elements are selected.  Every decision scores
+    expected marginals after the pending batch resolves through
+    _sav_and_denom; with nothing pending that is the sequential greedy score.
 
-    Observation happens after every `every` picks; else, with eps given,
-    whenever the gap ratio of a non-empty batch drops below 1 - eps; else once
-    at the end.  A coverage goal caps scores at the quota, ranks them per unit
-    cost and stops the run once the quota is reached; when nothing left helps
-    in expectation the batch is resolved first, and with no batch outstanding
-    the run ends flagged "uncovered".  accept sees each best score before its
-    pick; False observes the batch and ends the run.
+    Observation happens after every `every` picks (policies that observe only
+    at the end pass their budget) and, with eps given, whenever the gap ratio
+    of a non-empty batch drops below 1 - eps.  A coverage goal caps scores at
+    the quota, ranks them per unit cost and stops the run once the quota is
+    reached; when nothing left helps in expectation the batch is resolved
+    first, and with no batch outstanding the run ends flagged "uncovered".
+    accept sees each best score before its pick; False observes the batch and
+    ends the run.
     """
     cap = goal.quota if goal is not None else None
     view: dict[int, int] = {}
@@ -107,10 +106,7 @@ def _greedy(
         stuck = len(selected) >= budget
         if not stuck:
             cands = [e for e in range(inst.n) if e not in selected]
-            if batched:
-                scores, denom = _sav_and_denom(inst, psi, pending, cands, ctx, cap)
-            else:
-                scores, denom = marginals_for(inst, psi, cands, cap), 0.0
+            scores, denom = _sav_and_denom(inst, psi, pending, cands, ctx, cap)
             if goal is None:
                 e, best = argmax_pairs(zip(cands, scores))
             else:
@@ -125,7 +121,7 @@ def _greedy(
             return
         observe = stuck  # with a batch outstanding, resolve it and look again
         if not stuck and eps is not None and pending:
-            observe = _gap_ratio(inst, psi, scores, denom, gap, cap) < 1.0 - eps - _EQ_TOL
+            observe = _gap_ratio(inst, psi, scores, denom, gap, ctx, cap) < 1.0 - eps - _EQ_TOL
         if not observe:
             if accept is not None and not accept(best):
                 if pending:
@@ -134,7 +130,7 @@ def _greedy(
             selected.add(e)
             pending.append(e)
             yield Select(e)
-            observe = every is not None and len(pending) >= every
+            observe = len(pending) >= every
         if observe:
             resp = yield QUERY
             view.update(resp)
@@ -149,7 +145,7 @@ def greedy_max(k: int) -> Policy:
     def play(inst: Instance, ctx: PolicyContext):
         if k > inst.n:
             raise MalformedInputError(f"budget {k} exceeds ground set size {inst.n}")
-        yield from _greedy(inst, ctx, k, batched=False, every=1)
+        yield from _greedy(inst, ctx, k, every=1)
 
     return Policy(name=f"greedy(k={k})", play=play)
 
@@ -164,7 +160,7 @@ def greedy_coverage(spec: CoverageSpec | None = None) -> Policy:
 
     def play(inst: Instance, ctx: PolicyContext):
         goal = _active_spec(inst, spec)
-        yield from _greedy(inst, ctx, inst.n, batched=False, every=1, goal=goal)
+        yield from _greedy(inst, ctx, inst.n, every=1, goal=goal)
 
     return Policy(name="greedy-cov", play=play)
 
@@ -198,7 +194,7 @@ def threshold_policy(tau: float, coin_p: float = 0.0, mode: str = "marginal") ->
     def play(inst: Instance, ctx: PolicyContext):
         inclusive = bool(ctx.theta)
         yield from _greedy(
-            inst, ctx, inst.n, batched=mode == "sav", every=1 if mode == "marginal" else None,
+            inst, ctx, inst.n, every=1 if mode == "marginal" else inst.n,
             accept=lambda score: _passes(score, tau, inclusive),
         )
 
@@ -222,8 +218,8 @@ def _score_paths(inst: Instance, mode: str) -> list[tuple[float, list[float]]]:
             return True
 
         run = _Run(_greedy(
-            inst, PolicyContext(seed=EXACT_SEED), inst.n, batched=mode == "sav",
-            every=1 if mode == "marginal" else None, accept=record,
+            inst, PolicyContext(seed=EXACT_SEED), inst.n,
+            every=1 if mode == "marginal" else inst.n, accept=record,
         ), "threshold kernel")
         for action in run:
             if action is QUERY:
@@ -273,25 +269,34 @@ def calibrate_tau(inst: Instance, i: float, mode: str = "marginal") -> Threshold
     first whose inclusive stop count reaches i, then interpolates between the
     strict and inclusive rules with the coin.
     """
+    return _calibrations(inst, [i], mode)[0]
+
+
+def _calibrations(inst: Instance, targets: list[float], mode: str = "marginal"):
+    """calibrate_tau for each target, checked first, from one kernel replay."""
     if mode not in ("marginal", "sav"):
         raise MalformedInputError(f"unknown threshold mode {mode!r}")
-    if i < 0 or i > inst.n:
-        raise InfeasibleError(f"target count {i} outside [0, {inst.n}]")
+    for i in targets:
+        if i < 0 or i > inst.n:
+            raise InfeasibleError(f"target count {i} outside [0, {inst.n}]")
     trajs = _score_paths(inst, mode)
 
     levels = sorted({s for _w, scores in trajs for s in scores}, reverse=True)
     if not levels:
         raise InfeasibleError("instance has no selectable elements")
 
-    for v in levels:
-        beta = math.fsum(w * _count_until_fail(scores, v, True) for w, scores in trajs)
-        if beta >= i - 1e-9:
-            alpha = math.fsum(w * _count_until_fail(scores, v, False) for w, scores in trajs)
-            if beta - alpha <= 1e-12:
-                return ThresholdCalibration(tau_i=v, i=i, alpha=alpha, beta=beta, coin_p=0.0)
-            p = min(1.0, max(0.0, (i - alpha) / (beta - alpha)))
-            return ThresholdCalibration(tau_i=v, i=i, alpha=alpha, beta=beta, coin_p=p)
-    raise InfeasibleError(f"no threshold reaches an average of {i} selections")
+    def scan(i: float) -> ThresholdCalibration:
+        for v in levels:
+            beta = math.fsum(w * _count_until_fail(scores, v, True) for w, scores in trajs)
+            if beta >= i - 1e-9:
+                alpha = math.fsum(w * _count_until_fail(scores, v, False) for w, scores in trajs)
+                if beta - alpha <= 1e-12:
+                    return ThresholdCalibration(tau_i=v, i=i, alpha=alpha, beta=beta, coin_p=0.0)
+                p = min(1.0, max(0.0, (i - alpha) / (beta - alpha)))
+                return ThresholdCalibration(tau_i=v, i=i, alpha=alpha, beta=beta, coin_p=p)
+        raise InfeasibleError(f"no threshold reaches an average of {i} selections")
+
+    return [scan(i) for i in targets]
 
 
 # --- expected batch marginals (scores for semi-adaptive selection) ----------
@@ -305,18 +310,20 @@ def _sav_and_denom(
     ctx: PolicyContext,
     cap: float | None = None,
 ) -> tuple[list[float], float]:
-    """Batch scores and the adaptive reference term, in one pass.
+    """Batch scores and the adaptive reference term of a decision state, in
+    one pass; policies score every state through here.
 
     Score of e: expected marginal of e after the pending batch resolves,
     E_b[ marginal(e | psi + b) ].  Reference term: E_b[ max_e marginal ] over
     every element outside psi and the batch, whatever the candidates: the
     per-branch best the fully adaptive policy would see (0.0, with zero
     scores, when no such element is left).  cap=Q scores against min(f, Q).
-    Exact when the joint over pending enumerates under the branch cap, else a
-    seeded Monte Carlo fallback flagged "sav-mc".  The cover hook on product
-    priors computes uncapped scores in closed form, exact at any batch size,
-    so there "sav-mc" means that the reference term or quota-capped scores
-    were sampled; uncapped cover scores never are.
+    The instance's fast_sav hook answers first.  Otherwise an empty batch is
+    one marginals_for call, and a non-empty one is exact when its joint
+    enumerates under the branch cap, else a seeded Monte Carlo fallback
+    flagged "sav-mc".  The cover hook on product priors computes uncapped
+    scores in closed form, exact at any batch size, so there "sav-mc" means
+    that the reference term or quota-capped scores were sampled.
     """
     if inst.fast_sav is not None:
         return inst.fast_sav(inst, psi, pending, cands, ctx, cap)
@@ -325,7 +332,8 @@ def _sav_and_denom(
     if not free:
         return [0.0 for _ in cands], 0.0
     if not pending:
-        branches = [((), 1.0)]
+        savs = marginals_for(inst, psi, free, cap)
+        denom = max(savs)
     else:
         try:
             branches = inst.prior.joint_dist(psi, pending, cap=cap_value("branch_cap"))
@@ -337,14 +345,14 @@ def _sav_and_denom(
                 (tuple(phi[e] for e in pending), 1.0 / samples)
                 for phi in (post.sample(ctx.rng) for _ in range(samples))
             )
-    savs = [0.0] * len(free)
-    denom = 0.0
-    for assign, p in branches:
-        psi_b = psi.union(PartialRealization(dict(zip(pending, assign))))
-        margs = marginals_for(inst, psi_b, free, cap)
-        for j, m in enumerate(margs):
-            savs[j] += p * m
-        denom += p * max(margs)
+        savs = [0.0] * len(free)
+        denom = 0.0
+        for assign, p in branches:
+            psi_b = psi.union(PartialRealization(dict(zip(pending, assign))))
+            margs = marginals_for(inst, psi_b, free, cap)
+            for j, m in enumerate(margs):
+                savs[j] += p * m
+            denom += p * max(margs)
     by_elem = dict(zip(free, savs))
     return [by_elem.get(e, 0.0) for e in cands], denom
 
@@ -412,15 +420,17 @@ def _gap_ratio(
     scores: list[float],
     denom: float,
     gap: str,
+    ctx: PolicyContext,
     cap: float | None,
 ) -> float:
     """Best batch score ("ig"), or best marginal on psi alone with pending
     elements as candidates ("rig"), over the reference term denom; 1.0 when
-    denom vanishes.  Only "rig" scores anything beyond the batch scores."""
+    denom vanishes.  "rig" scores its best marginal as the reference term of
+    an empty batch."""
     if gap == "ig":
-        top = max(scores)
+        top = max(scores, default=0.0)
     else:
-        top = max(marginals_for(inst, psi, [e for e in range(inst.n) if e not in psi], cap))
+        top = _sav_and_denom(inst, psi, [], [e for e in range(inst.n) if e not in psi], ctx, cap)[1]
     return 1.0 if denom <= 0.0 else top / denom
 
 
@@ -430,10 +440,8 @@ def _gap(inst: Instance, state: SemiAdaptiveState, ctx: PolicyContext | None, ga
     pending = list(state.pending)
     blocked = set(state.psi.domain) | set(pending)
     cands = [e for e in range(inst.n) if e not in blocked]
-    if not cands:
-        return 1.0
     savs, denom = _sav_and_denom(inst, state.psi, pending, cands, ctx)
-    return _gap_ratio(inst, state.psi, savs, denom, gap, None)
+    return _gap_ratio(inst, state.psi, savs, denom, gap, ctx, None)
 
 
 def information_gap(
@@ -472,7 +480,7 @@ def semi_adaptive_greedy_max(k: int, eps: float, gap: str = "ig") -> Policy:
     def play(inst: Instance, ctx: PolicyContext):
         if k > inst.n:
             raise MalformedInputError(f"budget {k} exceeds ground set size {inst.n}")
-        yield from _greedy(inst, ctx, k, batched=True, eps=eps, gap=gap)
+        yield from _greedy(inst, ctx, k, every=k, eps=eps, gap=gap)
 
     return Policy(name=f"semi(k={k},eps={eps:.6g},{gap})", play=play)
 
@@ -493,7 +501,7 @@ def semi_adaptive_greedy_coverage(
 
     def play(inst: Instance, ctx: PolicyContext):
         goal = _active_spec(inst, spec)
-        yield from _greedy(inst, ctx, inst.n, batched=True, eps=eps, gap=gap, goal=goal)
+        yield from _greedy(inst, ctx, inst.n, every=inst.n, eps=eps, gap=gap, goal=goal)
 
     return Policy(name=f"semi-cov(eps={eps:.6g},{gap})", play=play)
 
@@ -511,7 +519,7 @@ def fixed_batch_greedy(r: int, k: int) -> Policy:
         raise MalformedInputError("budget must be >= 0")
 
     def play(inst: Instance, ctx: PolicyContext):
-        yield from _greedy(inst, ctx, min(k, inst.n), batched=True, every=r)
+        yield from _greedy(inst, ctx, min(k, inst.n), every=r)
 
     return Policy(name=f"batch(r={r},k={k})", play=play)
 
@@ -540,9 +548,9 @@ def _dp_value(
     inst: Instance, psi: PartialRealization, budget: int, memo: dict
 ) -> tuple[float, int | None]:
     """Best expected value with `budget` picks left after psi, and the first
-    pick attaining it (smallest id on ties; None when no pick is left)."""
-    key = (psi.pairs, budget)
-    hit = memo.get(key)
+    pick attaining it (smallest id on ties; None when no pick is left).
+    memo serves one top-level budget; |psi| + budget is constant within it."""
+    hit = memo.get(psi.pairs)
     if hit is not None:
         return hit
     if budget == 0 or len(psi) == inst.n:
@@ -560,13 +568,13 @@ def _dp_value(
             )
             if ev > best[0]:
                 best = (ev, e)
-    memo[key] = best
+    memo[psi.pairs] = best
     return best
 
 
 def optimal_value(inst: Instance, k: int) -> float:
     """Expected value of the best k-selection policy (exact, memoized)."""
-    memo = _DP_MAX_CACHE.setdefault(inst, {})
+    memo = _DP_MAX_CACHE.setdefault(inst, {}).setdefault(min(k, inst.n), {})
     return _dp_value(inst, EMPTY, min(k, inst.n), memo)[0]
 
 
@@ -580,7 +588,7 @@ def optimal_policy_dp(k: int) -> Policy:
         raise MalformedInputError("budget must be >= 0")
 
     def play(inst: Instance, ctx: PolicyContext):
-        memo = _DP_MAX_CACHE.setdefault(inst, {})
+        memo = _DP_MAX_CACHE.setdefault(inst, {}).setdefault(min(k, inst.n), {})
         psi = EMPTY
         for left in range(min(k, inst.n), 0, -1):
             _, e = _dp_value(inst, psi, left, memo)

@@ -33,6 +33,7 @@ from .instances import build_bags
 from .model import EMPTY, CoverageSpec, Instance, PartialRealization
 from .policies import (
     _active_spec,
+    _calibrations,
     calibrate_tau,
     fixed_batch_greedy,
     greedy_coverage,
@@ -264,12 +265,9 @@ def verify_eq_main(inst: Instance, pi_star: Policy, i: int) -> BoundCheckResult:
         return _result("eq-main", inst, 0.0, 0.0,
                        "skipped: i=0 needs the undefined level below the first")
     try:
-        cal_i = calibrate_tau(inst, i)
-        cal_prev = calibrate_tau(inst, i - 1)
+        pol_i, pol_prev = (cal.policy() for cal in _calibrations(inst, [i, i - 1]))
     except InfeasibleError as exc:
         return _result("eq-main", inst, 0.0, 0.0, f"skipped: calibration infeasible: {exc}")
-    pol_i = threshold_policy(cal_i.tau_i, cal_i.coin_p)
-    pol_prev = threshold_policy(cal_prev.tau_i, cal_prev.coin_p)
     a, ek = _value_and_count(pi_star, inst)
     b = f_avg_exact(concat(pol_i, pi_star), inst)
     fi = f_avg_exact(pol_i, inst)

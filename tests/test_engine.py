@@ -26,7 +26,7 @@ from adasub.engine import (
     truncate,
 )
 from adasub.errors import AlreadyObservedError, MalformedInputError, PolicyBugError, TooLargeError
-from adasub.instances import ModularUtility, build_truncation_pair
+from adasub.instances import ModularUtility, build_bags, build_truncation_pair
 from adasub.model import EMPTY, CoverageSpec, Instance, PartialRealization, TablePrior
 from adasub.policies import (
     fixed_batch_greedy,
@@ -165,6 +165,14 @@ def test_exact_averages_over_seed_space(anti_inst):
 def test_exact_support_cap(anti_inst):
     with pytest.raises(TooLargeError):
         evaluate_exact(greedy_max(1), anti_inst, max_support=1)
+
+
+def test_bags_support_honours_per_call_cap(monkeypatch):
+    monkeypatch.setenv("ADASUB_MAX_SUPPORT", "50")  # bags-k3 has 105 realizations
+    rep = evaluate_exact(greedy_max(1), build_bags(3), max_support=10**6)
+    assert rep.f_avg == 1.0
+    with pytest.raises(TooLargeError):
+        evaluate_exact(greedy_max(1), build_bags(3))
 
 
 def test_empty_policy_scores_empty_set(anti_inst):

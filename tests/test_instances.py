@@ -138,6 +138,26 @@ def test_bags_fast_hooks_match_generic(bags3):
         fm = marginals_for(bags3, state.psi, cands)
         sm = marginals_for(plain, state.psi, cands)
         assert np.allclose(fm, sm, atol=1e-9)
+    # Random states: a non-empty psi from a sampled realization and 0-3
+    # pending elements.
+    for k in (3, 4):
+        inst = build_bags(k)
+        plain = dataclasses.replace(inst, fast_marginals=None, fast_sav=None)
+        rng = np.random.default_rng(k)
+        for _ in range(30):
+            order = [int(e) for e in rng.permutation(inst.n)]
+            cut = int(rng.integers(1, inst.n - 3))
+            phi = inst.prior.sample(rng)
+            psi = PartialRealization([(e, phi[e]) for e in order[:cut]])
+            pending = order[cut: cut + int(rng.integers(0, 4))]
+            cands = [e for e in range(inst.n) if e not in psi and e not in pending]
+            for cap in (None, inst.coverage.quota):
+                ctx = PolicyContext(seed=EXACT_SEED)
+                fast, fast_ref = _sav_and_denom(inst, psi, pending, cands, ctx, cap)
+                slow, slow_ref = _sav_and_denom(plain, psi, pending, cands, ctx, cap)
+                assert np.allclose(fast, slow, rtol=0, atol=1e-12), (psi, pending, cap)
+                assert abs(fast_ref - slow_ref) <= 1e-12, (psi, pending, cap)
+                assert not ctx.flags
 
 
 # --- truncation pair --------------------------------------------------------------

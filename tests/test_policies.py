@@ -11,7 +11,7 @@ from adasub.engine import (
     f_avg_exact,
     run_policy,
 )
-from adasub.errors import AlreadyObservedError, InfeasibleError, MalformedInputError
+from adasub.errors import AlreadyObservedError, InfeasibleError, MalformedInputError, TooLargeError
 from adasub.instances import (
     CoverUtility,
     ModularUtility,
@@ -298,6 +298,20 @@ def test_dp_oracle_values(anti_inst):
     assert optimal_value(anti_inst, 1) == 0.5
     assert optimal_value(anti_inst, 2) == 1.0
     assert math.isclose(f_avg_exact(optimal_policy_dp(2), anti_inst), 1.0)
+
+
+def test_dp_state_cap_ignores_other_budgets(monkeypatch):
+    # The budget-3 tree memoizes 120 states, and the cap is checked before
+    # each non-final one; states of a budget-2 call on the same instance must
+    # not count against it.
+    monkeypatch.setenv("ADASUB_MAX_STATES", "121")
+    assert optimal_value(build_random_tabular(5, 12, 3), 3) == 8.0
+    inst = build_random_tabular(5, 12, 3)
+    assert optimal_value(inst, 2) == 6.0
+    assert optimal_value(inst, 3) == 8.0
+    monkeypatch.setenv("ADASUB_MAX_STATES", "118")
+    with pytest.raises(TooLargeError):
+        optimal_value(build_random_tabular(5, 12, 3), 3)
 
 
 def test_dp_dominates_other_policies(anti_inst):

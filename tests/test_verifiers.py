@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from adasub import policies
 from adasub.engine import c_avg_exact, f_avg_exact, marginal
 from adasub.errors import InfeasibleError, MalformedInputError, TooLargeError
 from adasub.instances import build_bags, build_random_tabular, build_stochastic_cover
@@ -163,6 +164,15 @@ def test_eq_main_chain_on_corpus():
             for i in range(1, k + 1):
                 res = verify_eq_main(inst, star, i)
                 assert res.satisfied, (seed, k, i, res)
+
+
+def test_eq_main_replays_kernel_once(monkeypatch):
+    # Levels i and i-1 come from one set of score paths.
+    calls = []
+    replay = policies._score_paths
+    monkeypatch.setattr(policies, "_score_paths", lambda *a: calls.append(a) or replay(*a))
+    res = verify_eq_main(build_random_tabular(4, 6, 2), optimal_policy_dp(2), 1)
+    assert res.satisfied and len(calls) == 1
 
 
 def test_coverage_bound_frozen(tiny_cover):
