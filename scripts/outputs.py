@@ -10,17 +10,17 @@ Covered: exact reports of every policy constructor, MC reports, run_policy
 traces (with round views), threshold calibrations in both modes, DP values,
 batch scores and gap ratios, on bags-k3, the truncation pair, covers with
 n=5..8 and 2 or 3 outcomes, one weighted cover, 12 corpus tabular instances,
-the criterion-8 cover (sampled batch scores), and runs with the branch cap
-forced down to 3 so that every sampled fallback fires.  Also the exact
-reports, MC reports, traces and expected selection counts of concat,
-truncate and limit_rounds, every verifier on small inputs, and a policy
-that yields an unknown action, bare and inside each combinator.  Bags-k4
-and bags-k5 add batch scores, sav-mode calibrations and (bags-k4) MC
-reports, none of which enumerates the support.  Two cap cases: DP values
-under a lowered state cap, fresh and after another budget on the same
-instance, and, under a lowered support cap, exact bags reports with and
-without a per-call override and the bags submodularity check.  Takes under
-a minute on 2 CPUs.
+the criterion-8 cover (semi, batch and threshold "sav" traces, and one dead
+batch past a branch cap of 3), and runs with the branch cap forced down to 3
+so that every sampled fallback fires.  Also the exact reports, MC reports,
+traces and expected selection counts of concat, truncate and limit_rounds,
+every verifier on small inputs, and a policy that yields an unknown action,
+bare and inside each combinator.  Bags-k4 and bags-k5 add batch scores,
+sav-mode calibrations and (bags-k4) MC reports, none of which enumerates the
+support.  Two cap cases: DP values under a lowered state cap, fresh and after
+another budget on the same instance, and, under a lowered support cap, exact
+bags reports with and without a per-call override and the bags submodularity
+check.  Takes under a minute on 2 CPUs.
 """
 from __future__ import annotations
 
@@ -35,6 +35,7 @@ from adasub import (
     CoverageSpec,
     PartialRealization,
     Policy,
+    PolicyContext,
     QUERY,
     STOP,
     Select,
@@ -81,6 +82,7 @@ from adasub import (
     verify_semi_max_bound,
 )
 from adasub.errors import AdasubError
+from adasub.policies import _sav_and_denom
 
 
 def emit(*parts) -> None:
@@ -221,6 +223,14 @@ def env(**caps):
             del os.environ["ADASUB_" + k.upper()]
 
 
+def scored_state(inst, psi, pending) -> tuple:
+    """Scores, reference term and flags of one decision state."""
+    cands = [e for e in range(inst.n) if e not in psi and e not in pending]
+    ctx = PolicyContext(seed=0)
+    scores, ref = _sav_and_denom(inst, psi, pending, cands, ctx)
+    return scores, ref, tuple(sorted(ctx.flags))
+
+
 def weighted_cover(n: int, universe: int, seed: int):
     doc = instance_to_doc(build_stochastic_cover(n, universe, 2, seed=seed))
     weights = [round(0.25 + 0.5 * ((u * 7 + seed) % 5), 2) for u in range(universe)]
@@ -296,9 +306,16 @@ def main() -> None:
 
     big = build_stochastic_cover(32, 64, 2, seed=0)
     traces(big, [semi_adaptive_greedy_max(32, 0.2)], 24, 8)
+    traces(big, [fixed_batch_greedy(32, 32), threshold_policy(0.0, 0.0, "sav")], 1, 0)
     mid = build_stochastic_cover(16, 32, 2, seed=0)
     traces(mid, [semi_adaptive_greedy_max(8, 0.2), semi_adaptive_greedy_coverage(eps=0.2)], 4, 16)
 
+    with env(branch_cap=3):
+        # Dead batch: after the first round of a criterion-8 trajectory, these
+        # four pending elements leave no item that an open element reaches.
+        psi = PartialRealization([(3, 1), (4, 1), (13, 0), (14, 1)])
+        attempt(("dead-batch", big.name, psi.pairs, (15, 18, 2, 8)),
+                scored_state, big, psi, [15, 18, 2, 8])
     with env(branch_cap=3, mc_fallback=200):
         for inst in covers[:3] + [covers[-1], bags]:
             plain = dataclasses.replace(inst, name=inst.name + "-plain",

@@ -407,6 +407,13 @@ class _CoverTables:
         self.labels = np.argsort(~nonzero, axis=1, kind="stable")
         self.probs = np.take_along_axis(self.marg, self.labels, axis=1)
         self.cum = np.where(np.arange(m) < self.nopts[:, None], self.probs.cumsum(axis=1), np.inf)
+        # Item sets as ints: reach[e] / leave[e] hold the items that some positive-mass
+        # outcome of e covers / misses (zero-weight items are in no cover here).
+        self.reach, self.leave = [0] * n, [0] * n
+        for e, o in zip(*np.nonzero(self.marg > 0)):
+            bits = int.from_bytes(self.words[e, o].tobytes(), "little")
+            self.reach[e] |= bits
+            self.leave[e] |= ~bits & ((1 << U) - 1)
 
 
 def _cover_fast_hooks(prior: ProductPrior, utility: CoverUtility):
@@ -414,10 +421,10 @@ def _cover_fast_hooks(prior: ProductPrior, utility: CoverUtility):
 
     Under the independent prior an item stays uncovered through the pending
     batch with probability prod_p miss[p, u], so uncapped batch scores are
-    exact at any batch size and need no branches.  Only the two scores that
-    are nonlinear in the batch outcome walk its joint branches: the reference
-    term E_b[max_e marginal] and quota-capped scores.  Those branches are
-    enumerated under the branch cap and sampled past it (flagged "sav-mc").
+    exact at any batch size.  A batch that leaves no reachable item uncovered
+    scores 0 exactly, without branches.  Otherwise the reference term
+    E_b[max_e marginal] and quota-capped scores walk the batch's joint
+    branches: enumerated under the branch cap, sampled past it ("sav-mc").
     """
 
     n = prior.n
@@ -461,14 +468,20 @@ def _cover_fast_hooks(prior: ProductPrior, utility: CoverUtility):
     def fast_sav(inst, psi, pending, cands, ctx, cap=None):
         t = _ensure()
         pending = list(pending)
-        covered = np.zeros(U, dtype=bool)
-        for e, o in psi.pairs:
-            covered |= t.cover[e, o]
-        uw = t.w_items * ~covered
         blocked = set(psi.domain) | set(pending)
-        allowed = np.array([e not in blocked for e in range(n)])
-        if not allowed.any():
+        # No live item (uncovered by psi, missed with positive mass by every
+        # pending element, reachable by an allowed one): every gain is exactly 0.
+        live = ~utility.covered_bits(psi)
+        for p in pending:
+            live &= t.leave[p]
+        reach = 0
+        for e in set(range(n)) - blocked:
+            reach |= t.reach[e]
+        if not live & reach:
             return [0.0 for _ in cands], 0.0
+        covered = t.cover[[e for e, _o in psi.pairs], [o for _e, o in psi.pairs]].any(axis=0)
+        uw = t.w_items * ~covered
+        allowed = np.array([e not in blocked for e in range(n)])
         denom = None
         if pending:
             packed, ws = _branches(t, pending, ctx)

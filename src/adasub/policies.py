@@ -321,9 +321,9 @@ def _sav_and_denom(
     The instance's fast_sav hook answers first.  Otherwise an empty batch is
     one marginals_for call, and a non-empty one is exact when its joint
     enumerates under the branch cap, else a seeded Monte Carlo fallback
-    flagged "sav-mc".  The cover hook on product priors computes uncapped
-    scores in closed form, exact at any batch size, so there "sav-mc" means
-    that the reference term or quota-capped scores were sampled.
+    flagged "sav-mc".  The cover hook on product priors scores uncapped and
+    dead batches (no reachable item left uncovered) exactly, without branches,
+    so there "sav-mc" means a sample entered a nonzero reference term or score.
     """
     if inst.fast_sav is not None:
         return inst.fast_sav(inst, psi, pending, cands, ctx, cap)

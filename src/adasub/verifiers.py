@@ -349,13 +349,14 @@ def measure_superround_decay(
     With Delta_t the best marginal at the state after t queries and
     t_plus = t + ceil(ln(n/delta) / ln(1/(1-eps/2))), the event is that the
     best marginal after t_plus queries is at most (1-eps/2) * Delta_t.  The
-    default policy runs the batching greedy to exhaustion (budget n), so a run
-    that stops before t_plus queries has either observed every element or left
-    only zero-gain elements; both make the event hold at the final state,
-    which is the bound's own degenerate case.  The measured frequency must
-    reach 1 - delta minus 3 binomial standard errors.  t=0 fixes the
-    pre-query state, so Delta_t is deterministic; t>0 conditions on the
-    sampled state per trajectory, skipping trajectories that stop sooner.
+    default policy runs the batching greedy to exhaustion, so a run that stops
+    before t_plus queries ends with every element observed or only zero-gain
+    ones left, and the event holds at that final state (the bound's degenerate
+    case); the witness counts runs that reached t_plus queries and runs judged
+    at the final state.  The frequency must reach 1 - delta minus 3 binomial
+    standard errors.  t=0 fixes the pre-query state, so Delta_t is
+    deterministic; t>0 conditions on the sampled state per trajectory,
+    skipping trajectories that stop sooner.
     """
     if not (0 < eps < 1) or not (0 < delta < 1):
         raise MalformedInputError("eps and delta must lie in (0, 1)")
@@ -375,8 +376,7 @@ def measure_superround_decay(
         return max(marginals_for(inst, view, cands))
 
     delta_0 = best_marginal(EMPTY) if t == 0 else None
-    hits = 0
-    counted = 0
+    hits = counted = reached = 0
     for _ in range(trials):
         phi = inst.prior.sample(rng)
         tr = run_policy(policy, inst, phi, seed=int(rng.integers(0, 2**31 - 1)), collect_rounds=True)
@@ -387,6 +387,7 @@ def measure_superround_decay(
             if len(views) < t:
                 continue
             base = best_marginal(views[t - 1])
+        reached += len(views) >= t_plus
         later = views[t_plus - 1] if len(views) >= t_plus else tr.observed
         counted += 1
         if best_marginal(later) <= (1.0 - eps / 2.0) * base + 1e-12:
@@ -401,7 +402,8 @@ def measure_superround_decay(
         inst,
         freq,
         rhs,
-        f"t={t} t_plus={t_plus} counted={counted} policy={policy.name}",
+        f"t={t} t_plus={t_plus} counted={counted} reached={reached} "
+        f"final={counted - reached} policy={policy.name}",
     )
 
 

@@ -308,6 +308,90 @@ def test_cover_uncapped_scores_exact_past_branch_cap(monkeypatch):
     assert "sav-mc" in ctx.flags
 
 
+def _live_items(inst, psi, pending):
+    """Items an allowed element can still gain on once the batch resolves:
+    uncovered by psi, of positive weight, missed with positive mass by every
+    pending element and covered with positive mass by an allowed element."""
+    covers, weights = inst.utility.covers, inst.utility.weights
+    marg = inst.prior.marginals
+
+    def outcomes(e):
+        return [covers[e][o] for o, q in enumerate(marg[e]) if q > 0]
+
+    covered = set().union(*(covers[e][o] for e, o in psi.pairs))
+    allowed = [e for e in range(inst.n) if e not in psi and e not in pending]
+    return {
+        u for u in range(inst.utility.universe)
+        if u not in covered and (weights is None or weights[u] > 0)
+        and all(any(u not in s for s in outcomes(p)) for p in pending)
+        and any(u in s for e in allowed for s in outcomes(e))
+    }
+
+
+def _grown_batches(inst, rng, count):
+    """count random states (psi, pending, live items): psi a random prefix of
+    a random order, pending grown along the rest until no item is live, with
+    at least one element left outside both."""
+    for _ in range(count):
+        order = [int(e) for e in rng.permutation(inst.n)]
+        cut = int(rng.integers(0, inst.n - 1))
+        phi = inst.prior.sample(rng)
+        psi = PartialRealization([(e, phi[e]) for e in order[:cut]])
+        for j in range(cut, inst.n):
+            live = _live_items(inst, psi, order[cut:j])
+            yield psi, order[cut:j], live
+            if not live:
+                break
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("weighted", [False, True], ids=["unit", "weighted"])
+def test_cover_dead_batches_settle_without_branches(m, weighted, monkeypatch):
+    n, universe = 8, 12
+    build = _weighted_cover if weighted else build_stochastic_cover
+    inst = build(n, universe, m, seed=20 + m)
+    plain = dataclasses.replace(inst, fast_marginals=None, fast_sav=None)
+    dead = [(psi, pending) for psi, pending, live in
+            _grown_batches(inst, np.random.default_rng([m, weighted, 2]), 40) if not live]
+    assert len(dead) >= 6 and any(len(p) >= 3 for _psi, p in dead)
+    cases = []
+    for psi, pending in dead:
+        cands = [e for e in range(n) if e not in psi and e not in pending]
+        for cap in (None, inst.coverage.quota, 2.0):
+            slow, slow_ref = _sav_and_denom(plain, psi, pending, cands, PolicyContext(seed=0), cap)
+            cases.append((psi, pending, cands, cap, slow, slow_ref))
+    # Past the branch cap too, a dead batch is neither sampled nor flagged.
+    for branch_cap in (None, "2"):
+        if branch_cap is not None:
+            monkeypatch.setenv("ADASUB_BRANCH_CAP", branch_cap)
+        for psi, pending, cands, cap, slow, slow_ref in cases:
+            ctx = PolicyContext(seed=0)
+            fast, fast_ref = _sav_and_denom(inst, psi, pending, cands, ctx, cap)
+            assert np.allclose(fast, slow, rtol=0, atol=1e-12), (psi, pending, cap)
+            assert abs(fast_ref - slow_ref) <= 1e-12 and fast_ref == 0.0
+            assert not ctx.flags and ctx._rng is None, (psi, pending, cap, branch_cap)
+
+
+def test_cover_one_live_item_still_branches(monkeypatch):
+    inst = build_stochastic_cover(8, 12, 2, seed=22)
+    plain = dataclasses.replace(inst, fast_marginals=None, fast_sav=None)
+    psi, pending = next(
+        (psi, pending) for psi, pending, live in
+        _grown_batches(inst, np.random.default_rng(3), 40)
+        if len(live) == 1 and len(pending) >= 2
+    )
+    cands = [e for e in range(inst.n) if e not in psi and e not in pending]
+    ctx = PolicyContext(seed=0)
+    fast, fast_ref = _sav_and_denom(inst, psi, pending, cands, ctx)
+    slow, slow_ref = _sav_and_denom(plain, psi, pending, cands, PolicyContext(seed=0))
+    assert np.allclose(fast, slow, rtol=0, atol=1e-12) and abs(fast_ref - slow_ref) <= 1e-12
+    assert fast_ref > 0.0 and not ctx.flags
+    monkeypatch.setenv("ADASUB_BRANCH_CAP", "2")
+    ctx = PolicyContext(seed=0)
+    _sav_and_denom(inst, psi, pending, cands, ctx)
+    assert "sav-mc" in ctx.flags and ctx._rng is not None
+
+
 # --- random tabular family -----------------------------------------------------------
 
 

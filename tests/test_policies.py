@@ -1,6 +1,7 @@
 """Greedy, threshold, semi-adaptive, batched, and DP-optimal policies."""
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,6 +18,7 @@ from adasub.instances import (
     ModularUtility,
     build_bags,
     build_random_tabular,
+    build_stochastic_cover,
     build_truncation_pair,
 )
 from adasub.model import (
@@ -255,6 +257,25 @@ def test_fixed_batch_intermediate(anti_inst):
     # r=2, k=2 on two elements: one batch of two, single flush round
     tr = run_policy(fixed_batch_greedy(2, 2), anti_inst, (0, 1))
     assert tr.selected == (0, 1) and tr.rounds == 1
+
+
+def test_criterion8_cover_batches_unflagged():
+    """On the criterion-8 cover every batch past the branch cap leaves no
+    reachable item uncovered, so no policy samples or is flagged."""
+    inst = build_stochastic_cover(32, 64, 2, seed=0)
+    phi = inst.prior.sample(np.random.default_rng(0))
+    head = (14, 3, 4, 13)
+    batch = head + (15, 11, 23, 1, 8, 2, 29, 5, 25, 10)
+    expected = [
+        (semi_adaptive_greedy_max(32, 0.2),
+         head + (8, 31, 2, 7, 0, 1, 5, 6, 9, 10, 11, 12) + tuple(range(15, 31)), 2),
+        (fixed_batch_greedy(32, 32),
+         batch + (0, 6, 7, 9, 12, 16, 17, 18, 19, 20, 21, 22, 24, 26, 27, 28, 30, 31), 1),
+        (threshold_policy(0.0, 0.0, "sav"), batch, 1),
+    ]
+    for pol, selected, rounds in expected:
+        tr = run_policy(pol, inst, phi)
+        assert (tr.selected, tr.value, tr.rounds, tr.flags) == (selected, 64.0, rounds, ()), pol.name
 
 
 def test_fixed_batch_budget_clamps(bags2):

@@ -243,6 +243,17 @@ def test_decay_later_t():
     assert "t=1" in str(res.witness)
 
 
+def test_decay_witness_counts_runs_reaching_t_plus():
+    # t_plus = 6 <= n = 8: sequential greedy queries after every pick and
+    # reaches it; the batching default is judged at its final state here.
+    inst = build_stochastic_cover(8, 16, 2, seed=3)
+    res = measure_superround_decay(inst, 0.8, 0.5, 40, seed=1, policy=greedy_max(8))
+    assert res.satisfied
+    assert "t_plus=6 counted=40 reached=40 final=0" in str(res.witness)
+    res = measure_superround_decay(inst, 0.8, 0.5, 40, seed=1)
+    assert "t_plus=6 counted=40 reached=0 final=40" in str(res.witness)
+
+
 def test_round_complexity_guards():
     with pytest.raises(MalformedInputError):
         verify_round_complexity([], eps=0.1)
