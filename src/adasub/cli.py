@@ -8,9 +8,7 @@ ADASUB_BRANCH_CAP, and ADASUB_MC_FALLBACK.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
-import io
 import json
 import sys
 import time
@@ -21,6 +19,7 @@ from .engine import (
     EVAL_COLUMNS,
     EvalReport,
     Policy,
+    _csv,
     evaluate_exact,
     evaluate_mc,
 )
@@ -76,13 +75,17 @@ EXIT_TOO_LARGE = 2
 EXIT_MALFORMED = 3
 EXIT_INFEASIBLE = 4
 
-EXPERIMENT_COLUMNS = ("sweep", "kind") + EVAL_COLUMNS + (
-    "verifier",
-    "lhs",
-    "rhs",
-    "slack",
-    "satisfied",
-    "witness",
+# error class -> exit code; the first match wins
+EXIT_CODES = (
+    (MalformedInputError, EXIT_MALFORMED),
+    (TooLargeError, EXIT_TOO_LARGE),
+    ((InfeasibleError, InconsistentObservationError), EXIT_INFEASIBLE),
+    (AdasubError, EXIT_FAILED),
+)
+
+# run and verify rows share one header: every column of either report
+EXPERIMENT_COLUMNS = ("sweep", "kind") + EVAL_COLUMNS + tuple(
+    c for c in VERIFY_COLUMNS if c not in EVAL_COLUMNS
 )
 
 _GNUPLOT_HINTS = """\
@@ -102,11 +105,39 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(self.exit_with_code(message))
-
-    def exit_with_code(self, message):
         print(f"{self.prog}: error: {message}", file=sys.stderr)
-        return EXIT_MALFORMED
+        raise SystemExit(EXIT_MALFORMED)
+
+
+# --- parameters -----------------------------------------------------------------
+
+
+def _param(p: dict[str, Any], key: str, default: Any = None, kind: type = int,
+           where: str = "") -> Any:
+    """Parameter `key` of a policy spec, the flags or a sweep entry, read as `kind`.
+
+    A missing value (None) gives `default`, so 0 counts as given.
+    """
+    v = p.get(key)
+    return default if v is None else _number(v, kind, f"{where}{key}")
+
+
+def _number(v: Any, kind: type, what: str) -> int | float:
+    """`v` as a float, or as an int when `kind` is int: anything float() takes
+    is a number, and an int must also be integral (2, 2.0 and "2" give 2).
+    Anything else is malformed input (exit 3)."""
+    try:
+        x = float(v)
+    except (TypeError, ValueError):
+        raise MalformedInputError(f"{what} is not a number") from None
+    if kind is float:
+        return x
+    if not x.is_integer():
+        raise MalformedInputError(f"{what} is not an integer: {v!r}")
+    try:
+        return int(v)  # exact for ints and digit strings
+    except ValueError:
+        return int(x)  # "2.0"
 
 
 # --- policy specs -------------------------------------------------------------
@@ -124,13 +155,10 @@ def _parse_opts(rest: str, spec: str) -> dict[str, str]:
     return opts
 
 
-def _opt_float(opts: dict[str, str], key: str, spec: str) -> float:
+def _opt(opts: dict[str, str], key: str, spec: str, kind: type = float) -> Any:
     if key not in opts:
         raise MalformedInputError(f"policy spec {spec!r} needs {key}=")
-    try:
-        return float(opts[key])
-    except ValueError as exc:
-        raise MalformedInputError(f"policy spec {spec!r}: {key} is not a number") from exc
+    return _param(opts, key, kind=kind, where=f"policy spec {spec!r}: ")
 
 
 def _need_k(k: int | None, spec: str) -> int:
@@ -145,7 +173,7 @@ def policy_from_spec(spec: str, inst: Instance, k: int | None = None) -> Policy:
     Specs: greedy | greedy-cov | threshold:tau=T,p=P[,mode=sav] |
     tau-cal:i=I[,mode=sav] | semi:eps=E[,gap=ig|rig] | semi-cov:eps=E[,gap=..] |
     batch:r=R | seq:E0-E1-... | opt-dp | opt-cov-dp.  Budgeted specs take k
-    from --k.
+    from --k.  I may be fractional; R must be an integer.
     """
     head, _, rest = spec.partition(":")
     if head == "seq":
@@ -161,24 +189,25 @@ def policy_from_spec(spec: str, inst: Instance, k: int | None = None) -> Policy:
         return greedy_coverage()
     if head == "threshold":
         return threshold_policy(
-            _opt_float(opts, "tau", spec),
-            _opt_float(opts, "p", spec) if "p" in opts else 0.0,
+            _opt(opts, "tau", spec),
+            _param(opts, "p", 0.0, float, f"policy spec {spec!r}: "),
             opts.get("mode", "marginal"),
         )
     if head == "tau-cal":
         mode = opts.get("mode", "marginal")
-        cal = calibrate_tau(inst, int(_opt_float(opts, "i", spec)), mode)
+        i = _opt(opts, "i", spec)
+        cal = calibrate_tau(inst, int(i) if i.is_integer() else i, mode)
         return threshold_policy(cal.tau_i, cal.coin_p, mode)
     if head == "semi":
         return semi_adaptive_greedy_max(
-            _need_k(k, spec), _opt_float(opts, "eps", spec), opts.get("gap", "ig")
+            _need_k(k, spec), _opt(opts, "eps", spec), opts.get("gap", "ig")
         )
     if head == "semi-cov":
         return semi_adaptive_greedy_coverage(
-            eps=_opt_float(opts, "eps", spec), gap=opts.get("gap", "rig")
+            eps=_opt(opts, "eps", spec), gap=opts.get("gap", "rig")
         )
     if head == "batch":
-        return fixed_batch_greedy(int(_opt_float(opts, "r", spec)), _need_k(k, spec))
+        return fixed_batch_greedy(_opt(opts, "r", spec, int), _need_k(k, spec))
     if head == "opt-dp":
         return optimal_policy_dp(_need_k(k, spec))
     if head == "opt-cov-dp":
@@ -197,84 +226,83 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _reports_csv(reports: list[EvalReport]) -> str:
-    buf = io.StringIO()
-    w = csv.DictWriter(buf, fieldnames=EVAL_COLUMNS, lineterminator="\n")
-    w.writeheader()
-    for rep in reports:
-        w.writerow(rep.to_row())
-    return buf.getvalue()
+def _json(records: list[EvalReport] | list[BoundCheckResult]) -> str:
+    """One JSON object per record, keyed by field; flags as a list and a
+    witness object as its string."""
+    docs = [vars(r) for r in records]
+    return json.dumps(docs, sort_keys=True, indent=2, default=str) + "\n"
 
 
-def _reports_json(reports: list[EvalReport]) -> str:
-    docs = []
-    for rep in reports:
-        doc = dataclasses.asdict(rep)
-        doc["flags"] = list(rep.flags)
-        docs.append(doc)
-    return json.dumps(docs, sort_keys=True, indent=2) + "\n"
+# --- instances ------------------------------------------------------------------
+
+# corpus -> (family, the parameters it reads with their defaults); seed s of
+# `verify --corpus C --seeds N` builds the family with seed s.
+_CORPORA = {
+    "random": ("tabular", {"n": 4, "m": 6}),
+    "cover": ("cover", {"n": 5, "universe": 8, "outcomes": 2}),
+}
 
 
-def _results_json(results: list[BoundCheckResult]) -> str:
-    docs = []
-    for r in results:
-        doc = dataclasses.asdict(r)
-        doc["witness"] = None if r.witness is None else str(r.witness)
-        docs.append(doc)
-    return json.dumps(docs, sort_keys=True, indent=2) + "\n"
-
-
-# --- gen ------------------------------------------------------------------------
-
-
-def _build_family(family: str, p: dict[str, Any]):
+def _build_family(family: str, p: dict[str, Any]) -> Instance:
     if family == "bags":
         if p.get("k") is None:
             raise MalformedInputError("gen bags needs --k")
-        return build_bags(int(p["k"]), p.get("seed"))
+        return build_bags(_param(p, "k"), _param(p, "seed"))
     if family == "cover":
         if p.get("n") is None or p.get("universe") is None:
             raise MalformedInputError("gen cover needs --n and --universe")
         return build_stochastic_cover(
-            int(p["n"]), int(p["universe"]), int(p.get("outcomes") or 2), int(p.get("seed") or 0)
+            _param(p, "n"), _param(p, "universe"), _param(p, "outcomes", 2), _param(p, "seed", 0)
         )
     if family == "tabular":
         if p.get("n") is None or p.get("m") is None:
             raise MalformedInputError("gen tabular needs --n and --m")
         return build_random_tabular(
-            int(p["n"]),
-            int(p["m"]),
-            int(p.get("seed") or 0),
-            universe_size=int(p["universe"]) if p.get("universe") is not None else None,
+            _param(p, "n"), _param(p, "m"), _param(p, "seed", 0), _param(p, "universe")
         )
     raise MalformedInputError(f"unknown instance family {family!r}")
 
 
+def _resolve(src: Any, needed: bool, missing: str) -> Instance | None:
+    """The instance a `{"file": path}` or `{"family": ..., params}` source
+    names; None when there is none and none is `needed`, else exit 3 with
+    the `missing` message."""
+    if isinstance(src, dict) and "file" in src:
+        return load_instance(src["file"])
+    if isinstance(src, dict) and "family" in src:
+        return _build_family(src["family"], src)
+    if needed:
+        raise MalformedInputError(missing)
+    return None
+
+
+# --- gen ------------------------------------------------------------------------
+
+
 def cmd_gen(args) -> int:
-    p = vars(args)
     if args.family == "trunc-pair":
-        f_inst, g_inst = build_truncation_pair()
-        prefix = args.out or "trunc"
-        if prefix.endswith(".json"):
-            prefix = prefix[: -len(".json")]
-        paths = (f"{prefix}-f.json", f"{prefix}-g.json")
-        save_instance(f_inst, paths[0])
-        save_instance(g_inst, paths[1])
-        print(paths[0])
-        print(paths[1])
-        return EXIT_OK
-    inst = _build_family(args.family, p)
-    path = args.out or f"{inst.name}.json"
-    save_instance(inst, path)
-    print(path)
+        prefix = (args.out or "trunc").removesuffix(".json")
+        written = list(zip(build_truncation_pair(), (f"{prefix}-f.json", f"{prefix}-g.json")))
+    else:
+        inst = _build_family(args.family, vars(args))
+        written = [(inst, args.out or f"{inst.name}.json")]
+    for inst, path in written:
+        save_instance(inst, path)
+    for _inst, path in written:
+        print(path)
     return EXIT_OK
 
 
 # --- run --------------------------------------------------------------------------
 
 
-def _evaluate(inst: Instance, policy: Policy, mode: str, samples: int, seed: int | None,
-              timing: bool) -> EvalReport:
+def _evaluate(inst: Instance, p: dict[str, Any]) -> EvalReport:
+    """Report of `run` (or a run sweep) `p` on `inst`: policy spec, k, mode,
+    samples, seed and timing as the run flags define them."""
+    policy = policy_from_spec(str(p.get("policy", "")), inst, _param(p, "k"))
+    mode = str(p.get("mode", "exact"))
+    samples = _param(p, "samples", 1000)
+    seed = _param(p, "seed")
     t0 = time.perf_counter()
     if mode == "exact":
         rep = evaluate_exact(policy, inst)
@@ -284,92 +312,71 @@ def _evaluate(inst: Instance, policy: Policy, mode: str, samples: int, seed: int
         rep = evaluate_mc(policy, inst, samples, seed)
     else:
         raise MalformedInputError(f"unknown mode {mode!r}")
-    if timing:
+    if p.get("timing"):
         rep = dataclasses.replace(rep, wall_ms=(time.perf_counter() - t0) * 1000.0)
     return rep
 
 
 def cmd_run(args) -> int:
-    inst = load_instance(args.instance)
-    policy = policy_from_spec(args.policy, inst, args.k)
-    rep = _evaluate(inst, policy, args.mode, args.samples, args.seed, args.timing)
-    text = _reports_json([rep]) if args.format == "json" else _reports_csv([rep])
-    _emit(text, args.out)
+    rep = _evaluate(load_instance(args.instance), vars(args))
+    _emit(_json([rep]) if args.format == "json" else _csv(EVAL_COLUMNS, [rep.to_row()]), args.out)
     return EXIT_OK
 
 
 # --- verify -----------------------------------------------------------------------
 
-_NO_INSTANCE_SUITES = ("hardness", "rounds")
 
-
-def _suite_rows(suite: str, inst: Instance | None, p: dict[str, Any]) -> list[BoundCheckResult]:
-    def want(key, default=None):
-        v = p.get(key)
-        return default if v is None else v
-
-    seed = int(want("seed", 0))
+def _suite_rows(suite: str, src: Any, p: dict[str, Any], missing: str) -> list[BoundCheckResult]:
+    """Rows of one suite on the instance `src` names (see _resolve)."""
+    inst = _resolve(src, suite not in ("hardness", "rounds"), missing)
+    seed = _param(p, "seed", 0)
     if suite == "hardness":
         if p.get("k") is None or p.get("r") is None:
             raise MalformedInputError("hardness needs --k and --r")
-        return verify_hardness(int(p["k"]), int(p["r"]), int(want("trials", 10000)), seed)
+        return verify_hardness(_param(p, "k"), _param(p, "r"), _param(p, "trials", 10000), seed)
     if suite == "rounds":
-        sizes = [int(s) for s in str(want("sizes", "8,16,32")).split(",") if s]
+        listed = "8,16,32" if p.get("sizes") is None else str(p["sizes"])
+        sizes = [_number(s, int, "sizes") for s in listed.split(",") if s]
         insts = [
             build_stochastic_cover(n, 2 * n, 2, seed=seed + idx) for idx, n in enumerate(sizes)
         ]
         return verify_round_complexity(
-            insts, float(want("eps", 0.1)), trials=int(want("trials", 40)), seed=seed
+            insts, _param(p, "eps", 0.1, float), trials=_param(p, "trials", 40), seed=seed
         )
-    if inst is None:
-        raise MalformedInputError(f"suite {suite!r} needs an instance or --corpus")
     if suite == "submodular":
         return [check_adaptive_submodular(inst)]
     if suite == "monotone":
         return [check_adaptive_monotone(inst)]
     if suite == "eta":
         return [verify_eta(inst)]
-    if suite == "lemma1":
-        ell = int(want("l", 1))
-        k = int(want("k", ell))
-        return [verify_lemma1(inst, optimal_policy_dp(k), ell)]
-    if suite == "eq-main":
-        i = int(want("i", 1))
-        k = int(want("k", i))
-        return [verify_eq_main(inst, optimal_policy_dp(k), i)]
     if suite == "coverage-bound":
         return [verify_coverage_bound(inst, None, optimal_coverage_dp())]
     if suite == "corollary-delta":
         return [verify_corollary_delta(inst, None, optimal_coverage_dp())]
-    if suite == "semi-max":
-        ell = int(want("l", 1))
-        k = int(want("k", ell))
-        return [verify_semi_max_bound(inst, optimal_policy_dp(k), ell, float(want("eps", 0.1)), k)]
-    if suite == "lemma8":
-        ell = int(want("l", 1))
-        k = int(want("k", ell))
-        return [verify_batch_lemma8(inst, optimal_policy_dp(k), ell, float(want("eps", 0.1)))]
     if suite == "decay":
         return [
             measure_superround_decay(
                 inst,
-                float(want("eps", 0.2)),
-                float(want("delta", 0.1)),
-                int(want("trials", 1000)),
+                _param(p, "eps", 0.2, float),
+                _param(p, "delta", 0.1, float),
+                _param(p, "trials", 1000),
                 seed,
             )
         ]
-    raise MalformedInputError(f"unknown verifier suite {suite!r}")
-
-
-def _corpus_instance(corpus: str, seed: int, p: dict[str, Any]) -> Instance:
-    if corpus == "random":
-        return build_random_tabular(int(p.get("n") or 4), int(p.get("m") or 6), seed)
-    if corpus == "cover":
-        return build_stochastic_cover(
-            int(p.get("n") or 5), int(p.get("universe") or 8), int(p.get("outcomes") or 2), seed
-        )
-    raise MalformedInputError(f"unknown corpus {corpus!r}")
+    if suite not in ("lemma1", "eq-main", "semi-max", "lemma8"):
+        raise MalformedInputError(f"unknown verifier suite {suite!r}")
+    # the level ell (i for eq-main) and the budget k of the optimum, k = ell by default
+    level = _param(p, "i" if suite == "eq-main" else "l", 1)
+    k = _param(p, "k", level)
+    opt = optimal_policy_dp(k)
+    if suite == "lemma1":
+        return [verify_lemma1(inst, opt, level)]
+    if suite == "eq-main":
+        return [verify_eq_main(inst, opt, level)]
+    eps = _param(p, "eps", 0.1, float)
+    if suite == "semi-max":
+        return [verify_semi_max_bound(inst, opt, level, eps, k)]
+    return [verify_batch_lemma8(inst, opt, level, eps)]
 
 
 def cmd_verify(args) -> int:
@@ -382,21 +389,18 @@ def cmd_verify(args) -> int:
     else:
         raise MalformedInputError("verify takes [instance] suite")
 
-    results: list[BoundCheckResult] = []
-    if args.corpus is not None:
-        if inst_path is not None:
-            raise MalformedInputError("give either an instance file or --corpus, not both")
-        for s in range(args.seeds):
-            results.extend(_suite_rows(suite, _corpus_instance(args.corpus, s, p), p))
-    elif suite in _NO_INSTANCE_SUITES and inst_path is None:
-        results.extend(_suite_rows(suite, None, p))
+    if args.corpus is None:
+        sources = [None if inst_path is None else {"file": inst_path}]
+    elif inst_path is not None:
+        raise MalformedInputError("give either an instance file or --corpus, not both")
     else:
-        if inst_path is None:
-            raise MalformedInputError(f"suite {suite!r} needs an instance or --corpus")
-        results.extend(_suite_rows(suite, load_instance(inst_path), p))
+        family, defaults = _CORPORA[args.corpus]
+        params = {key: _param(p, key, d) for key, d in defaults.items()}
+        sources = [{**params, "family": family, "seed": s} for s in range(args.seeds)]
+    missing = f"suite {suite!r} needs an instance or --corpus"
+    results = [r for src in sources for r in _suite_rows(suite, src, p, missing)]
 
-    text = _results_json(results) if args.format == "json" else rows_to_csv(results)
-    _emit(text, args.out)
+    _emit(_json(results) if args.format == "json" else rows_to_csv(results), args.out)
     if args.expect_violation:
         ok = bool(results) and all(not r.satisfied for r in results)
     else:
@@ -414,49 +418,17 @@ def _sweep_rows(sweep: dict[str, Any]) -> list[dict[str, str]]:
         raise MalformedInputError("experiment sweep entries must be objects")
     sid = str(sweep.get("id", ""))
     command = sweep.get("command")
-    rows: list[dict[str, str]] = []
+    src = sweep.get("instance")
     if command == "run":
-        src = sweep.get("instance")
-        if isinstance(src, dict) and "file" in src:
-            inst = load_instance(src["file"])
-        elif isinstance(src, dict) and "family" in src:
-            built = _build_family(src["family"], src)
-            inst = built
-        else:
-            raise MalformedInputError(f"sweep {sid!r}: instance needs a file or family")
-        policy = policy_from_spec(str(sweep.get("policy", "")), inst, sweep.get("k"))
-        rep = _evaluate(
-            inst,
-            policy,
-            str(sweep.get("mode", "exact")),
-            int(sweep.get("samples", 1000)),
-            sweep.get("seed"),
-            bool(sweep.get("timing", False)),
-        )
-        base = {c: "" for c in EXPERIMENT_COLUMNS}
-        base["sweep"] = sid
-        base["kind"] = "run"
-        base.update(rep.to_row())
-        rows.append(base)
-        return rows
-    if command == "verify":
+        inst = _resolve(src, True, f"sweep {sid!r}: instance needs a file or family")
+        records = [_evaluate(inst, sweep)]
+    elif command == "verify":
         suite = str(sweep.get("suite", ""))
-        inst = None
-        src = sweep.get("instance")
-        if isinstance(src, dict) and "file" in src:
-            inst = load_instance(src["file"])
-        elif isinstance(src, dict) and "family" in src:
-            inst = _build_family(src["family"], src)
-        elif suite not in _NO_INSTANCE_SUITES:
-            raise MalformedInputError(f"sweep {sid!r}: suite {suite!r} needs an instance")
-        for res in _suite_rows(suite, inst, sweep):
-            base = {c: "" for c in EXPERIMENT_COLUMNS}
-            base["sweep"] = sid
-            base["kind"] = "verify"
-            base.update(res.to_row())
-            rows.append(base)
-        return rows
-    raise MalformedInputError(f"sweep {sid!r}: unknown command {command!r}")
+        missing = f"sweep {sid!r}: suite {suite!r} needs an instance"
+        records = _suite_rows(suite, src, sweep, missing)
+    else:
+        raise MalformedInputError(f"sweep {sid!r}: unknown command {command!r}")
+    return [{"sweep": sid, "kind": command, **r.to_row()} for r in records]
 
 
 def cmd_experiment(args) -> int:
@@ -475,13 +447,7 @@ def cmd_experiment(args) -> int:
             row_blocks = list(pool.map(_sweep_rows, sweeps))
     else:
         row_blocks = [_sweep_rows(s) for s in sweeps]
-    buf = io.StringIO()
-    w = csv.DictWriter(buf, fieldnames=EXPERIMENT_COLUMNS, lineterminator="\n")
-    w.writeheader()
-    for block in row_blocks:
-        for row in block:
-            w.writerow(row)
-    _emit(buf.getvalue(), args.out)
+    _emit(_csv(EXPERIMENT_COLUMNS, [row for block in row_blocks for row in block]), args.out)
     return EXIT_OK
 
 
@@ -497,12 +463,8 @@ def build_parser() -> _Parser:
 
     g = sub.add_parser("gen", help="write a canonical instance file", parents=[])
     g.add_argument("family", choices=("bags", "trunc-pair", "cover", "tabular"))
-    g.add_argument("--k", type=int)
-    g.add_argument("--n", type=int)
-    g.add_argument("--m", type=int)
-    g.add_argument("--universe", type=int)
-    g.add_argument("--outcomes", type=int)
-    g.add_argument("--seed", type=int)
+    for flag in ("--k", "--n", "--m", "--universe", "--outcomes", "--seed"):
+        g.add_argument(flag, type=int)
     g.add_argument("--out")
     g.set_defaults(func=cmd_gen)
 
@@ -523,14 +485,8 @@ def build_parser() -> _Parser:
     v.add_argument("--corpus", choices=("random", "cover"))
     v.add_argument("--seeds", type=int, default=1)
     v.add_argument("--expect-violation", action="store_true")
-    v.add_argument("--l", type=int)
-    v.add_argument("--i", type=int)
-    v.add_argument("--k", type=int)
-    v.add_argument("--r", type=int)
-    v.add_argument("--n", type=int)
-    v.add_argument("--m", type=int)
-    v.add_argument("--universe", type=int)
-    v.add_argument("--outcomes", type=int)
+    for flag in ("--l", "--i", "--k", "--r", "--n", "--m", "--universe", "--outcomes"):
+        v.add_argument(flag, type=int)
     v.add_argument("--eps", type=float)
     v.add_argument("--delta", type=float)
     v.add_argument("--trials", type=int)
@@ -560,18 +516,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_MALFORMED
     try:
         return args.func(args)
-    except MalformedInputError as exc:
-        print(f"adasub: error: {exc}", file=sys.stderr)
-        return EXIT_MALFORMED
-    except TooLargeError as exc:
-        print(f"adasub: error: {exc}", file=sys.stderr)
-        return EXIT_TOO_LARGE
-    except (InfeasibleError, InconsistentObservationError) as exc:
-        print(f"adasub: error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
     except AdasubError as exc:
         print(f"adasub: error: {exc}", file=sys.stderr)
-        return EXIT_FAILED
+        return next(code for types, code in EXIT_CODES if isinstance(exc, types))
 
 
 if __name__ == "__main__":

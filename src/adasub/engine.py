@@ -13,10 +13,12 @@ seeded generator.
 """
 from __future__ import annotations
 
+import csv
+import io
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterable, Iterator, Sequence
 from weakref import WeakKeyDictionary
 
 import numpy as np
@@ -334,6 +336,16 @@ EVAL_COLUMNS = (
     "wall_ms",
     "flags",
 )
+
+
+def _csv(columns: Sequence[str], rows: Iterable[dict[str, str]]) -> str:
+    """CSV text: a header of `columns`, then one line per row ("" where a row
+    has no value for a column)."""
+    buf = io.StringIO()
+    w = csv.DictWriter(buf, fieldnames=columns, lineterminator="\n")
+    w.writeheader()
+    w.writerows(rows)
+    return buf.getvalue()
 
 
 @dataclass(frozen=True)

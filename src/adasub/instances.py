@@ -298,17 +298,7 @@ def _bags_reveal(phi: Realization, e: int) -> list[tuple[int, int]]:
 
 
 def _bags_fast_marginals(inst: Instance, psi: PartialRealization, cands, cap=None):
-    sizes = inst.prior.sizes
-    seen = {o for _e, o in psi.pairs}
-    left = inst.n - len(psi)
-    if left <= 0:
-        return [0.0 for _ in cands]
-    free = list(sizes)
-    for _e, o in psi.pairs:
-        free[o] -= 1
-    unseen_mass = sum(free[j] for j in range(len(sizes)) if j not in seen)
-    const = unseen_mass / left
-    return [0.0 if e in psi else const for e in cands]
+    return _bags_fast_sav(inst, psi, [], cands, None, cap)[0]
 
 
 def _bags_fast_sav(inst: Instance, psi: PartialRealization, pending, cands, ctx, cap=None):

@@ -402,27 +402,6 @@ class ProductPrior(Prior):
             p *= min(q for _, q in nz)
         return p
 
-    def joint_dist(
-        self, psi: PartialRealization, elements: Sequence[int], cap: int
-    ) -> list[tuple[tuple[int, ...], float]]:
-        self._check_consistent(psi)
-        size = 1
-        dists = []
-        for e in elements:
-            if e in psi:
-                raise AlreadyObservedError(f"element {e} already observed")
-            dists.append(self._nonzero[e])
-            size *= len(self._nonzero[e])
-            if size > cap:
-                raise TooLargeError(f"joint distribution has {size} branches, cap {cap}")
-        rows = []
-        for combo in itertools.product(*dists):
-            p = 1.0
-            for _, q in combo:
-                p *= q
-            rows.append((tuple(o for o, _ in combo), p))
-        return rows
-
 
 def expand_product(prior: ProductPrior, cap: int = 10**6) -> TablePrior:
     """Materialize a product prior as an explicit table (error past `cap` rows)."""

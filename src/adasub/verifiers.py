@@ -7,8 +7,6 @@ frequency, hardness trends).
 """
 from __future__ import annotations
 
-import csv
-import io
 import itertools
 import math
 from dataclasses import dataclass
@@ -18,6 +16,7 @@ import numpy as np
 
 from .engine import (
     Policy,
+    _csv,
     _exact_traces,
     cap_value,
     concat,
@@ -104,12 +103,7 @@ def _result(
 
 
 def rows_to_csv(results: Iterable[BoundCheckResult]) -> str:
-    buf = io.StringIO()
-    w = csv.DictWriter(buf, fieldnames=VERIFY_COLUMNS, lineterminator="\n")
-    w.writeheader()
-    for r in results:
-        w.writerow(r.to_row())
-    return buf.getvalue()
+    return _csv(VERIFY_COLUMNS, (r.to_row() for r in results))
 
 
 # --- structural property checks ----------------------------------------------

@@ -1,4 +1,6 @@
 """Command-line harness: exit codes, output shapes, determinism."""
+import csv
+import io
 import json
 import subprocess
 import sys
@@ -17,6 +19,7 @@ from adasub.cli import (
 )
 from adasub.errors import MalformedInputError
 from adasub.instances import load_instance
+from adasub.policies import calibrate_tau, threshold_policy
 
 
 @pytest.fixture()
@@ -301,6 +304,63 @@ def test_experiment_bad_config(workdir, capsys):
     nosuite = _write_config(workdir, [{"id": "x", "command": "wat"}])
     assert run_cli("experiment", nosuite) == EXIT_MALFORMED
     capsys.readouterr()
+
+
+# --- parameter rule ------------------------------------------------------------------
+
+
+def test_zero_parameters_are_given_not_defaulted(workdir, capsys):
+    assert run_cli(
+        "gen", "cover", "--n", "3", "--universe", "4", "--outcomes", "0"
+    ) == EXIT_MALFORMED
+    assert "need at least one outcome" in capsys.readouterr().err
+    assert run_cli(
+        "verify", "--corpus", "random", "--n", "0", "--seeds", "1", "monotone"
+    ) == EXIT_MALFORMED
+    assert "need at least one element" in capsys.readouterr().err
+
+
+def test_spec_non_integral_r_is_malformed(bags3_file, capsys):
+    assert run_cli("run", bags3_file, "batch:r=2.5", "--k", "3") == EXIT_MALFORMED
+    assert capsys.readouterr().err == (
+        "adasub: error: policy spec 'batch:r=2.5': r is not an integer: '2.5'\n"
+    )
+
+
+@pytest.mark.parametrize("key", ["k", "seed", "samples"])
+def test_sweep_non_integral_field_is_malformed(key, bags3_file, workdir, capsys):
+    sweep = {"id": "s", "command": "run", "instance": {"file": bags3_file},
+             "policy": "greedy", "k": 2, "mode": "mc", "seed": 1, "samples": 20}
+    cfg = _write_config(workdir, [{**sweep, key: 2.5}])
+    assert run_cli("experiment", cfg) == EXIT_MALFORMED
+    assert capsys.readouterr().err == f"adasub: error: {key} is not an integer: 2.5\n"
+
+
+def test_sweep_integral_k_in_any_form(bags3_file, workdir, capsys):
+    outs = []
+    for k in (2, "2", 2.0):
+        cfg = _write_config(workdir, [{"id": "s", "command": "run",
+                                       "instance": {"file": bags3_file},
+                                       "policy": "greedy", "k": k}])
+        assert run_cli("experiment", cfg) == EXIT_OK
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] == outs[2]
+    assert ",greedy(k=2),bags-k3," in outs[0]
+
+
+def test_tau_cal_fractional_target(workdir, capsys):
+    run_cli("gen", "tabular", "--n", "3", "--m", "4", "--out", "tab.json")
+    capsys.readouterr()
+    inst = load_instance("tab.json")
+    assert inst.name == "tab-n3-m4-s0"
+    cal = calibrate_tau(inst, 1.5)
+    assert run_cli("run", "tab.json", "tau-cal:i=1.5") == EXIT_OK
+    row = next(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert row["policy"] == threshold_policy(cal.tau_i, cal.coin_p).name
+    assert float(row["c_avg"]) == pytest.approx(1.5, abs=1e-12)
+    # an integral target still reaches calibrate_tau as an int
+    assert run_cli("run", "tab.json", "tau-cal:i=99") == EXIT_INFEASIBLE
+    assert capsys.readouterr().err == "adasub: error: target count 99 outside [0, 3]\n"
 
 
 # --- top level -----------------------------------------------------------------------
