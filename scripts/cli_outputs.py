@@ -12,9 +12,10 @@ written); `run` in exact, MC and JSON mode with every policy spec on bags-k3,
 a table, a cover and the truncation pair; every `verify` suite on a table and
 a cover, both corpora with and without size flags, and the instance-free
 suites; `experiment` serial and with `--jobs 2`; at least one case per exit
-code 1-4; and non-integral or zero parameters.  `--timing` is never passed,
-so `wall_ms` reads 0.0.  Runs in one process (`--jobs 2` starts two
-workers), in a temporary directory, in a few seconds on 2 CPUs.
+code 1-4; non-integral or zero parameters, `--seeds 0`, and sweep `timing`
+values that are not a JSON boolean.  Timing is never turned on, so `wall_ms`
+reads 0.0.  Runs in one process (`--jobs 2` starts two workers), in a
+temporary directory, in a few seconds on 2 CPUs.
 """
 from __future__ import annotations
 
@@ -188,6 +189,7 @@ def main_cases() -> None:
     run("gen", "cover", "--n", "3", "--universe", "4", "--outcomes", "0")
     run("verify", "--corpus", "random", "--n", "0", "--seeds", "1", "monotone")
     run("verify", "--corpus", "cover", "--n", "0", "--seeds", "1", "monotone")
+    run("verify", "--corpus", "random", "--seeds", "0", "lemma1")
     run("run", "tab.json", "tau-cal:i=1.5")
     run("run", "bags-k3.json", "batch:r=2.5", "--k", "3")
     run("run", "bags-k3.json", "batch:r=2.0", "--k", "3")
@@ -202,6 +204,9 @@ def main_cases() -> None:
         ("trials-frac", {"command": "verify", "suite": "hardness", "k": 2, "r": 2,
                          "trials": 2.5}),
         ("n-frac", {"instance": {"family": "cover", "n": 2.5, "universe": 4}}),
+        ("timing-false", {"timing": False}),
+        ("timing-null", {"timing": None}),
+        ("timing-str", {"timing": "false"}),
     ):
         experiment(f"{name}.json", [{**base, **extra}])
 

@@ -20,7 +20,10 @@ sav-mode calibrations and (bags-k4) MC reports, none of which enumerates the
 support.  Two cap cases: DP values under a lowered state cap, fresh and after
 another budget on the same instance, and, under a lowered support cap, exact
 bags reports with and without a per-call override and the bags submodularity
-check.  Takes under a minute on 2 CPUs.
+check.  Coverage optima and exact opt-cov-dp reports under a non-unit cost
+vector, as a spec override and on the instance, for three quotas up to the
+best full-observation value on covers, bags-k3, the truncation pair and four
+tabular instances.  Takes about a minute on 2 CPUs.
 """
 from __future__ import annotations
 
@@ -240,6 +243,23 @@ def weighted_cover(n: int, universe: int, seed: int):
     return instance_from_doc(doc)
 
 
+def costed_coverage(inst) -> None:
+    """Coverage optima and exact opt-cov-dp reports under a non-unit cost
+    vector, given as a spec override and as the instance's own goal (reports
+    charge the instance's costs)."""
+    costs = tuple(0.5 + 0.375 * ((3 * e + 1) % 4) for e in range(inst.n))
+    top = max(inst.utility(PartialRealization.project(phi, range(inst.n)))
+              for phi, _w in inst.prior.support())
+    for quota in (0.4 * top, 0.7 * top, top):
+        spec = CoverageSpec(quota=quota, costs=costs)
+        costed = dataclasses.replace(inst, name=f"{inst.name}-q{quota}-costed", coverage=spec)
+        attempt(("opt-cov", inst.name, spec), optimal_coverage_cost, inst, spec)
+        attempt(("exact", inst.name, "opt-cov-dp", spec),
+                evaluate_exact, optimal_coverage_dp(spec), inst)
+        attempt(("opt-cov", costed.name), optimal_coverage_cost, costed)
+        attempt(("exact", costed.name, "opt-cov-dp"), evaluate_exact, optimal_coverage_dp(), costed)
+
+
 def main() -> None:
     bags = build_bags(3)
     exact_reports(bags, 3)
@@ -289,6 +309,8 @@ def main() -> None:
         combinators(inst, 2, inst.n)
         verifiers(inst, 2)
     unknown_action(covers[0])
+    for inst in covers[:3] + [covers[-1], bags] + list(build_truncation_pair()):
+        costed_coverage(inst)
     for k, r in ((3, 2), (4, 4)):
         attempt(("hardness", k, r), verify_hardness, k, r, 12, 5)
     attempt(("rounds",), verify_round_complexity, covers[:4], 0.2, None, 6, 2)
@@ -298,6 +320,7 @@ def main() -> None:
         if s < 4:
             combinators(inst, 2, s)
             verifiers(inst, 2)
+            costed_coverage(inst)
         exact_reports(inst, 2)
         batch_scores(inst, s)
         for k in (1, 2, 3):

@@ -312,7 +312,10 @@ def _evaluate(inst: Instance, p: dict[str, Any]) -> EvalReport:
         rep = evaluate_mc(policy, inst, samples, seed)
     else:
         raise MalformedInputError(f"unknown mode {mode!r}")
-    if p.get("timing"):
+    timing = p.get("timing")
+    if timing is not None and not isinstance(timing, bool):
+        raise MalformedInputError(f"timing must be true or false, got {timing!r}")
+    if timing:
         rep = dataclasses.replace(rep, wall_ms=(time.perf_counter() - t0) * 1000.0)
     return rep
 
@@ -393,6 +396,8 @@ def cmd_verify(args) -> int:
         sources = [None if inst_path is None else {"file": inst_path}]
     elif inst_path is not None:
         raise MalformedInputError("give either an instance file or --corpus, not both")
+    elif args.seeds < 1:
+        raise MalformedInputError(f"--seeds must be >= 1, got {args.seeds}")
     else:
         family, defaults = _CORPORA[args.corpus]
         params = {key: _param(p, key, d) for key, d in defaults.items()}

@@ -226,23 +226,18 @@ def _execute(
 EXACT_SEED = 0x5EED  # fixed internal seed so exact mode stays deterministic
 
 
-_DRAW = _Singleton("draw")  # run_policy default: draw theta from the seed space
-
-
 def run_policy(
     policy: Policy,
     inst: Instance,
     phi: Realization,
     seed: int = 0,
-    theta: Any = _DRAW,
     collect_rounds: bool = False,
 ) -> PolicyTrace:
     """Run a policy against one realization; deterministic given (policy, phi, seed)."""
-    if theta is _DRAW:
-        if len(policy.seed_space) == 1:
-            theta = policy.seed_space[0][0]
-        else:
-            theta = _draw_theta(policy, float(np.random.default_rng(seed).random()))
+    if len(policy.seed_space) == 1:
+        theta = policy.seed_space[0][0]
+    else:
+        theta = _draw_theta(policy, float(np.random.default_rng(seed).random()))
     return _execute(policy, inst, phi, theta, rng_seed=seed, collect_rounds=collect_rounds)
 
 
@@ -421,12 +416,12 @@ def evaluate_exact(policy: Policy, inst: Instance, max_support: int | None = Non
     )
 
 
-def f_avg_exact(policy: Policy, inst: Instance, max_support: int | None = None) -> float:
-    return evaluate_exact(policy, inst, max_support).f_avg
+def f_avg_exact(policy: Policy, inst: Instance) -> float:
+    return evaluate_exact(policy, inst).f_avg
 
 
-def c_avg_exact(policy: Policy, inst: Instance, max_support: int | None = None) -> float:
-    return evaluate_exact(policy, inst, max_support).c_avg
+def c_avg_exact(policy: Policy, inst: Instance) -> float:
+    return evaluate_exact(policy, inst).c_avg
 
 
 def _draw_theta(policy: Policy, u: float) -> Any:

@@ -540,33 +540,39 @@ def fixed_sequence_policy(seq: Iterable[int]) -> Policy:
 
 # --- exact optima by dynamic programming ------------------------------------
 
-_DP_MAX_CACHE: "WeakKeyDictionary[Instance, dict]" = WeakKeyDictionary()
-_DP_COV_CACHE: "WeakKeyDictionary[Instance, dict]" = WeakKeyDictionary()
 
-
-def _dp_value(
-    inst: Instance, psi: PartialRealization, budget: int, memo: dict
+def _dp(
+    inst: Instance, psi: PartialRealization, memo: dict, left: int, goal: CoverageSpec | None
 ) -> tuple[float, int | None]:
-    """Best expected value with `budget` picks left after psi, and the first
-    pick attaining it (smallest id on ties; None when no pick is left).
-    memo serves one top-level budget; |psi| + budget is constant within it."""
+    """Exact optimum from psi and the first pick attaining it (smallest id on
+    ties; None at a final state): with goal None the best expected value with
+    `left` picks left, else the least expected cost of reaching the goal's
+    quota.  memo serves one goal and, for values, one budget, so |psi| + left
+    is constant within it."""
     hit = memo.get(psi.pairs)
     if hit is not None:
         return hit
-    if budget == 0 or len(psi) == inst.n:
+    if goal is None and (left == 0 or len(psi) == inst.n):
         best = (inst.utility(psi), None)
+    elif goal is not None and covered(inst, psi, goal):
+        best = (0.0, None)
+    elif len(psi) == inst.n:  # an uncovered full view
+        raise InfeasibleError(f"realization {psi!r} cannot reach the quota on {inst.name}")
     else:
         if len(memo) >= cap_value("max_states"):
-            raise TooLargeError(f"budget-{budget} optimum exceeds the state cap on {inst.name}")
-        best = (-math.inf, None)
+            what = f"budget-{left} optimum" if goal is None else "coverage optimum"
+            raise TooLargeError(f"{what} exceeds the state cap on {inst.name}")
+        best = (-math.inf if goal is None else math.inf, None)
         for e in range(inst.n):
             if e in psi:
                 continue
             ev = math.fsum(
-                p * _dp_value(inst, psi.extend(e, o), budget - 1, memo)[0]
+                p * _dp(inst, psi.extend(e, o), memo, left - 1, goal)[0]
                 for o, p in inst.prior.outcome_dist(e, psi)
             )
-            if ev > best[0]:
+            if goal is not None:
+                ev += _spec_cost(goal, e)
+            if (ev > best[0]) if goal is None else (ev < best[0]):
                 best = (ev, e)
     memo[psi.pairs] = best
     return best
@@ -574,8 +580,38 @@ def _dp_value(
 
 def optimal_value(inst: Instance, k: int) -> float:
     """Expected value of the best k-selection policy (exact, memoized)."""
-    memo = _DP_MAX_CACHE.setdefault(inst, {}).setdefault(min(k, inst.n), {})
-    return _dp_value(inst, EMPTY, min(k, inst.n), memo)[0]
+    return _dp(inst, EMPTY, {}, min(k, inst.n), None)[0]
+
+
+def optimal_coverage_cost(inst: Instance, spec: CoverageSpec | None = None) -> float:
+    """Expected cost of the cheapest quota-reaching policy (exact, memoized)."""
+    return _dp(inst, EMPTY, {}, inst.n, _active_spec(inst, spec))[0]
+
+
+def _dp_policy(name: str, setup: Callable[[Instance], tuple[CoverageSpec | None, int]]) -> Policy:
+    """Policy playing _dp's first pick at each state, with (goal, budget) =
+    setup(inst).  Its memo lives as long as the policy and the instance, so
+    support rows and combinator phases share it.  An uncovered state with
+    nothing left to pick ends the run flagged "uncovered"."""
+    memos: "WeakKeyDictionary[Instance, dict]" = WeakKeyDictionary()
+
+    def play(inst: Instance, ctx: PolicyContext):
+        goal, left = setup(inst)
+        memo = memos.setdefault(inst, {})
+        psi = EMPTY
+        while True:
+            if goal is not None and len(psi) == inst.n and not covered(inst, psi, goal):
+                ctx.flags.add("uncovered")
+                return
+            e = _dp(inst, psi, memo, left, goal)[1]
+            if e is None:
+                return
+            yield Select(e)
+            resp = yield QUERY
+            psi = psi.extend(e, resp[e]) if e in resp else psi
+            left -= 1
+
+    return Policy(name=name, play=play)
 
 
 def optimal_policy_dp(k: int) -> Policy:
@@ -586,70 +622,9 @@ def optimal_policy_dp(k: int) -> Policy:
     """
     if k < 0:
         raise MalformedInputError("budget must be >= 0")
-
-    def play(inst: Instance, ctx: PolicyContext):
-        memo = _DP_MAX_CACHE.setdefault(inst, {}).setdefault(min(k, inst.n), {})
-        psi = EMPTY
-        for left in range(min(k, inst.n), 0, -1):
-            _, e = _dp_value(inst, psi, left, memo)
-            yield Select(e)
-            resp = yield QUERY
-            psi = psi.extend(e, resp[e]) if e in resp else psi
-
-    return Policy(name=f"opt-dp(k={k})", play=play)
-
-
-def _dp_cov_cost(
-    inst: Instance, psi: PartialRealization, memo: dict, spec
-) -> tuple[float, int | None]:
-    """Least expected cost of reaching the quota from psi, and the first pick
-    attaining it (smallest id on ties; None once covered)."""
-    key = psi.pairs
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    if covered(inst, psi, spec):
-        best = (0.0, None)
-    elif len(psi) == inst.n:
-        raise InfeasibleError(f"realization {psi!r} cannot reach the quota on {inst.name}")
-    else:
-        if len(memo) >= cap_value("max_states"):
-            raise TooLargeError(f"coverage optimum exceeds the state cap on {inst.name}")
-        best = (math.inf, None)
-        for e in range(inst.n):
-            if e in psi:
-                continue
-            ev = _spec_cost(spec, e) + math.fsum(
-                p * _dp_cov_cost(inst, psi.extend(e, o), memo, spec)[0]
-                for o, p in inst.prior.outcome_dist(e, psi)
-            )
-            if ev < best[0]:
-                best = (ev, e)
-    memo[key] = best
-    return best
-
-
-def optimal_coverage_cost(inst: Instance, spec: CoverageSpec | None = None) -> float:
-    """Expected cost of the cheapest quota-reaching policy (exact, memoized)."""
-    goal = _active_spec(inst, spec)
-    memo = _DP_COV_CACHE.setdefault(inst, {}).setdefault(goal, {})
-    return _dp_cov_cost(inst, EMPTY, memo, goal)[0]
+    return _dp_policy(f"opt-dp(k={k})", lambda inst: (None, min(k, inst.n)))
 
 
 def optimal_coverage_dp(spec: CoverageSpec | None = None) -> Policy:
     """Policy realizing the exact minimum expected coverage cost."""
-
-    def play(inst: Instance, ctx: PolicyContext):
-        goal = _active_spec(inst, spec)
-        memo = _DP_COV_CACHE.setdefault(inst, {}).setdefault(goal, {})
-        psi = EMPTY
-        while not covered(inst, psi, goal):
-            if len(psi) == inst.n:
-                ctx.flags.add("uncovered")
-                return
-            _, e = _dp_cov_cost(inst, psi, memo, goal)
-            yield Select(e)
-            resp = yield QUERY
-            psi = psi.extend(e, resp[e]) if e in resp else psi
-
-    return Policy(name="opt-cov-dp", play=play)
+    return _dp_policy("opt-cov-dp", lambda inst: (_active_spec(inst, spec), inst.n))

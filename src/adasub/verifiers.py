@@ -109,9 +109,11 @@ def rows_to_csv(results: Iterable[BoundCheckResult]) -> str:
 # --- structural property checks ----------------------------------------------
 
 
-def _reachable_states(inst: Instance, cap: int) -> list[PartialRealization]:
+def _reachable_states(inst: Instance) -> list[PartialRealization]:
     """All observation states consistent with some support realization, sorted
-    by (size, pairs) so scans and witnesses are deterministic."""
+    by (size, pairs) so scans and witnesses are deterministic; at most
+    ADASUB_MAX_STATES of them."""
+    cap = cap_value("max_states")
     if inst.n > 20:
         raise TooLargeError(f"state enumeration over {inst.n} elements is unmanageable")
     states: set[PartialRealization] = set()
@@ -145,15 +147,14 @@ def _exact_marginal_fn(inst: Instance) -> Callable[[PartialRealization, int], fl
     return marg
 
 
-def check_adaptive_submodular(inst: Instance, max_states: int | None = None) -> BoundCheckResult:
+def check_adaptive_submodular(inst: Instance) -> BoundCheckResult:
     """Exhaustive diminishing-returns check over all reachable state pairs.
 
     Scans superstates in (size, lex) order, their substates likewise, and
     elements ascending, so the first violation is deterministic.  When
     certified, reports the tightest pair found.
     """
-    cap = cap_value("max_states", max_states)
-    states = _reachable_states(inst, cap)
+    states = _reachable_states(inst)
     marg = _exact_marginal_fn(inst)
     worst: tuple[float, float, MarginalPairWitness] | None = None
     for sup in states:
@@ -176,10 +177,9 @@ def check_adaptive_submodular(inst: Instance, max_states: int | None = None) -> 
     return _result("adaptive-submodular", inst, worst[0], worst[1], worst[2])
 
 
-def check_adaptive_monotone(inst: Instance, max_states: int | None = None) -> BoundCheckResult:
+def check_adaptive_monotone(inst: Instance) -> BoundCheckResult:
     """Exhaustive non-negative-marginal check over all reachable states."""
-    cap = cap_value("max_states", max_states)
-    states = _reachable_states(inst, cap)
+    states = _reachable_states(inst)
     marg = _exact_marginal_fn(inst)
     worst: tuple[float, MarginalPairWitness] | None = None
     for psi in states:
@@ -196,15 +196,14 @@ def check_adaptive_monotone(inst: Instance, max_states: int | None = None) -> Bo
     return _result("adaptive-monotone", inst, worst[0], 0.0, worst[1])
 
 
-def verify_eta(inst: Instance, spec: CoverageSpec | None = None, max_states: int | None = None) -> BoundCheckResult:
+def verify_eta(inst: Instance, spec: CoverageSpec | None = None) -> BoundCheckResult:
     """Checks the quota's precision gap: no reachable state has utility
     strictly between Q - eta and Q."""
     spec = _active_spec(inst, spec)
-    cap = cap_value("max_states", max_states)
     q, eta = spec.quota, spec.eta
     closest = -math.inf
     witness = None
-    for psi in _reachable_states(inst, cap):
+    for psi in _reachable_states(inst):
         v = inst.utility(psi)
         if v < q - _TOL and v > closest:
             closest = v
@@ -407,13 +406,12 @@ def verify_round_complexity(
     k_for: Callable[[int], int] | None = None,
     trials: int = 40,
     seed: int = 0,
-    ratio_bound: float = 3.0,
 ) -> list[BoundCheckResult]:
     """Expected query rounds across a size sweep, referenced to ln(n) * ln(k).
 
     Emits one informational row per instance (lhs = measured rounds, rhs =
     reference curve) and a summary row asserting max/min of the measured-to-
-    reference ratio stays under ratio_bound.
+    reference ratio stays under 3.
     """
     if k_for is None:
         k_for = lambda n: max(2, math.ceil(n / 4))
@@ -439,7 +437,7 @@ def verify_round_complexity(
         rows.append(_result("round-complexity", inst, rounds, ref,
                             f"n={inst.n} k={k} ratio={ratio!r}", satisfied=True))
     spread = max(ratios) / min(ratios) if min(ratios) > 0 else math.inf
-    rows.append(_result("round-complexity-ratio", "family", ratio_bound, spread,
+    rows.append(_result("round-complexity-ratio", "family", 3.0, spread,
                         "ratios=" + ";".join(repr(r) for r in ratios)))
     return rows
 

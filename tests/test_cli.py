@@ -203,6 +203,15 @@ def test_verify_corpus_rows(workdir, capsys):
     assert all(",true," in ln for ln in lines[1:])
 
 
+@pytest.mark.parametrize("seeds", ["0", "-1"])
+def test_verify_corpus_without_seeds_is_malformed(seeds, workdir, capsys):
+    # a corpus run that builds no instance checks nothing, so it must not pass
+    assert run_cli("verify", "--corpus", "random", "--seeds", seeds, "lemma1") == EXIT_MALFORMED
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"adasub: error: --seeds must be >= 1, got {seeds}\n"
+
+
 def test_verify_unknown_suite(workdir, capsys):
     run_cli("gen", "trunc-pair")
     capsys.readouterr()
@@ -304,6 +313,29 @@ def test_experiment_bad_config(workdir, capsys):
     nosuite = _write_config(workdir, [{"id": "x", "command": "wat"}])
     assert run_cli("experiment", nosuite) == EXIT_MALFORMED
     capsys.readouterr()
+
+
+def _timed_sweep(bags3_file, timing):
+    return {"id": "t", "command": "run", "instance": {"file": bags3_file},
+            "policy": "greedy", "k": 2, "mode": "exact", "timing": timing}
+
+
+@pytest.mark.parametrize("timing", ["false", "true", 0, 1])
+def test_sweep_timing_must_be_a_json_boolean(timing, bags3_file, workdir, capsys):
+    cfg = _write_config(workdir, [_timed_sweep(bags3_file, timing)])
+    assert run_cli("experiment", cfg) == EXIT_MALFORMED
+    assert capsys.readouterr().err == (
+        f"adasub: error: timing must be true or false, got {timing!r}\n"
+    )
+
+
+@pytest.mark.parametrize("timing", [False, None, True])
+def test_sweep_timing_boolean(timing, bags3_file, workdir, capsys):
+    # false and null (like an absent field) keep wall_ms at 0.0
+    cfg = _write_config(workdir, [_timed_sweep(bags3_file, timing)])
+    assert run_cli("experiment", cfg) == EXIT_OK
+    (row,) = csv.DictReader(io.StringIO(capsys.readouterr().out))
+    assert (float(row["wall_ms"]) > 0.0) == bool(timing)
 
 
 # --- parameter rule ------------------------------------------------------------------

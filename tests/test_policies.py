@@ -1,4 +1,5 @@
 """Greedy, threshold, semi-adaptive, batched, and DP-optimal policies."""
+import dataclasses
 import math
 
 import numpy as np
@@ -335,6 +336,15 @@ def test_dp_state_cap_ignores_other_budgets(monkeypatch):
         optimal_value(build_random_tabular(5, 12, 3), 3)
 
 
+def test_dp_value_starts_a_fresh_memo_per_call(monkeypatch):
+    # a call that hit the cap leaves nothing behind, so a retry fails the same way
+    monkeypatch.setenv("ADASUB_MAX_STATES", "118")
+    inst = build_random_tabular(5, 12, 3)
+    for _ in range(2):
+        with pytest.raises(TooLargeError, match="^budget-2 optimum exceeds the state cap"):
+            optimal_value(inst, 3)
+
+
 def test_dp_dominates_other_policies(anti_inst):
     f_inst, _ = build_truncation_pair()
     for inst in (anti_inst, f_inst):
@@ -371,6 +381,51 @@ def test_coverage_dp_beats_or_ties_greedy_on_corpus():
         star = optimal_coverage_cost(inst, spec)
         greedy_cost = c_avg_exact(greedy_coverage(spec), inst)
         assert star <= greedy_cost + 1e-9
+
+
+def _cheapest_tree_cost(inst, psi, remaining, spec):
+    """Independent exhaustive min-cost tree (no memoization): zero once the
+    quota is reached, else the cheapest pick plus its expected continuation."""
+    if inst.utility(psi) >= spec.quota - 1e-9:
+        return 0.0
+    best = math.inf
+    for e in remaining:
+        rest = [x for x in remaining if x != e]
+        total = spec.costs[e]
+        for o, p in inst.prior.outcome_dist(e, psi):
+            total += p * _cheapest_tree_cost(inst, psi.extend(e, o), rest, spec)
+        best = min(best, total)
+    return best
+
+
+def _reachable_quota_spec(inst, scale):
+    """Non-unit costs and a quota that every realization reaches once all of
+    its elements are observed."""
+    full = min(inst.utility(PartialRealization.project(phi, range(inst.n)))
+               for phi, _ in inst.prior.support())
+    costs = tuple(0.5 + ((3 * e + 1) % 4) * 0.375 for e in range(inst.n))
+    return CoverageSpec(quota=scale * full, costs=costs)
+
+
+@pytest.mark.parametrize("inst", [
+    *(build_random_tabular(4, 6, seed=s) for s in range(4)),
+    *(build_stochastic_cover(4, 6, 2, seed=s) for s in range(3)),
+], ids=lambda inst: inst.name)
+@pytest.mark.parametrize("scale", [0.5, 1.0])
+def test_coverage_dp_equals_exhaustive_tree(inst, scale):
+    spec = _reachable_quota_spec(inst, scale)
+    assert spec.quota > 0
+    brute = _cheapest_tree_cost(inst, EMPTY, list(range(inst.n)), spec)
+    assert math.isclose(optimal_coverage_cost(inst, spec), brute, abs_tol=1e-12)
+    # reports charge the instance's own costs, so the goal goes on the instance
+    costed = dataclasses.replace(inst, coverage=spec)
+    assert optimal_coverage_cost(costed) == optimal_coverage_cost(inst, spec)
+    rep = evaluate_exact(optimal_coverage_dp(spec), costed)
+    assert math.isclose(rep.c_avg, brute, abs_tol=1e-12)
+    assert rep.flags == ()
+    for k in (1, 2, 3):
+        pol = optimal_policy_dp(k)
+        assert math.isclose(f_avg_exact(pol, inst), optimal_value(inst, k), abs_tol=1e-12)
 
 
 # --- fixed sequences --------------------------------------------------------------------
