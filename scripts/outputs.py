@@ -14,21 +14,23 @@ the criterion-8 cover (semi, batch and threshold "sav" traces, and one dead
 batch past a branch cap of 3), and runs with the branch cap forced down to 3
 so that every sampled fallback fires.  Also the exact reports, MC reports,
 traces and expected selection counts of concat, truncate and limit_rounds,
-every verifier on small inputs, and a policy that yields an unknown action,
-bare and inside each combinator.  Bags-k4 and bags-k5 add batch scores,
-sav-mode calibrations and (bags-k4) MC reports, none of which enumerates the
-support.  Two cap cases: DP values under a lowered state cap, fresh and after
-another budget on the same instance, and, under a lowered support cap, exact
-bags reports with and without a per-call override and the bags submodularity
-check.  Coverage optima and exact opt-cov-dp reports under a non-unit cost
-vector, as a spec override and on the instance, for three quotas up to the
-best full-observation value on covers, bags-k3, the truncation pair and four
-tabular instances.  Takes about a minute on 2 CPUs.
+every verifier on small inputs, a policy that yields an unknown action, bare
+and inside each combinator, and the exact report of a policy whose picks
+follow a counter kept across runs instead of its replies.  Bags-k4 and bags-k5
+add batch scores, sav-mode calibrations and (bags-k4) MC reports, none of
+which enumerates the support.  Two cap cases: DP values under a lowered state
+cap, fresh and after another budget on the same instance, and, under a lowered
+support cap, exact bags reports with and without a per-call override and the
+bags submodularity check.  Coverage optima and exact opt-cov-dp reports under
+a non-unit cost vector, as a spec override and on the instance, for three
+quotas up to the best full-observation value on covers, bags-k3, the
+truncation pair and four tabular instances.  Takes about a minute on 2 CPUs.
 """
 from __future__ import annotations
 
 import contextlib
 import dataclasses
+import itertools
 import os
 import sys
 
@@ -215,6 +217,18 @@ def unknown_action(inst) -> None:
                 lambda: run_policy(pol, inst, (0,) * inst.n, collect_rounds=True))
 
 
+def replay_guard(inst) -> None:
+    """An exact report of a policy that picks by a counter kept across runs."""
+    ticks = itertools.count()
+
+    def play(inst, ctx):
+        for _ in range(2):
+            yield Select(next(ticks) % inst.n)
+            yield QUERY
+
+    attempt(("replay-guard", inst.name), evaluate_exact, Policy(name="ticking", play=play), inst)
+
+
 @contextlib.contextmanager
 def env(**caps):
     """Set ADASUB_* variables for the duration of the block."""
@@ -309,6 +323,7 @@ def main() -> None:
         combinators(inst, 2, inst.n)
         verifiers(inst, 2)
     unknown_action(covers[0])
+    replay_guard(covers[0])
     for inst in covers[:3] + [covers[-1], bags] + list(build_truncation_pair()):
         costed_coverage(inst)
     for k, r in ((3, 2), (4, 4)):

@@ -9,7 +9,11 @@ policies, through this protocol.
 
 Expectations are computed exactly by enumerating the prior support times the
 policy's seed space, capped at max_support, or by Monte Carlo sampling with a
-seeded generator.
+seeded generator.  Exact evaluation runs a policy once per distinct sequence
+of replies and serves the other support rows from the recorded actions.  So
+in exact mode a policy's actions must depend only on theta, ctx.rng and the
+replies; one that yields other actions when replayed on recorded replies
+raises PolicyBugError.
 """
 from __future__ import annotations
 
@@ -384,14 +388,75 @@ def _checked_support(inst: Instance, branches: int, max_support: int | None = No
     return inst.prior.support()
 
 
+@dataclass
+class _Node:
+    """A point of a recorded run: the Selects yielded up to the next Query,
+    then the nodes after that Query keyed by its reply, or the final
+    ctx.flags if the run ended here instead."""
+
+    selects: list[Select] = field(default_factory=list)
+    children: dict[tuple[tuple[int, int], ...], _Node] = field(default_factory=dict)
+    flags: tuple[str, ...] | None = None
+
+
+def _replayed(policy: Policy) -> Policy:
+    """`policy` served from a trie of the runs made through this copy.
+
+    A run walks the recorded replies and runs the policy only where they
+    leave the trie.  Then the policy restarts from the root on the run's own
+    fresh context and is fed the recorded replies, so its scorer calls and
+    ctx.rng draws are those of a plain run; it must yield the recorded
+    actions again, or the run raises PolicyBugError.
+    """
+    top: dict[None, _Node] = {}  # the root, once a run has recorded it
+
+    def play(inst: Instance, ctx: PolicyContext):
+        walked = []  # (Selects, reply key) of each node passed
+        children, key = top, None
+        while key in children:
+            node = children[key]
+            yield from node.selects
+            if node.flags is not None:
+                ctx.flags.update(node.flags)
+                return
+            key = tuple((yield QUERY).items())
+            walked.append((node.selects, key))
+            children = node.children
+
+        run = _Run(policy.play(inst, ctx), policy.name)
+        for selects, replied in walked:
+            for recorded in (*selects, QUERY):
+                if next(run, None) != recorded:
+                    raise PolicyBugError(
+                        f"{policy.name} changed its actions on replayed replies; exact "
+                        "evaluation needs actions that depend only on theta, ctx.rng and the replies"
+                    )
+            run.reply = dict(replied)
+        node = children.setdefault(key, _Node())
+        for action in run:
+            if action is not QUERY:
+                node.selects.append(action)
+                yield action
+                continue
+            run.reply = yield QUERY
+            node = node.children.setdefault(tuple(run.reply.items()), _Node())
+        node.flags = tuple(ctx.flags)
+
+    return Policy(name=policy.name, play=play, seed_space=policy.seed_space)
+
+
 def _exact_traces(
     policy: Policy, inst: Instance, max_support: int | None = None
 ) -> Iterator[tuple[float, PolicyTrace]]:
-    """(weight, trace) over prior support x policy seed branches, at EXACT_SEED."""
+    """(weight, trace) over prior support x policy seed branches, at EXACT_SEED.
+
+    Each seed branch runs its own _replayed copy of the policy, so the policy
+    runs once per distinct reply sequence, not once per support row.
+    """
+    branches = [(theta, pt, _replayed(policy)) for theta, pt in policy.seed_space if pt > 0]
     for phi, w in _checked_support(inst, len(policy.seed_space), max_support):
-        for theta, pt in policy.seed_space:
-            if pt > 0:
-                yield w * pt, _execute(policy, inst, phi, theta, rng_seed=EXACT_SEED)
+        for theta, pt, replayed in branches:
+            yield w * pt, _execute(replayed, inst, phi, theta, rng_seed=EXACT_SEED)
 
 
 def evaluate_exact(policy: Policy, inst: Instance, max_support: int | None = None) -> EvalReport:

@@ -1,4 +1,5 @@
 """Policy runner, exact and Monte Carlo evaluation, and combinators."""
+import itertools
 import math
 
 import pytest
@@ -13,6 +14,9 @@ from adasub.engine import (
     QUERY,
     STOP,
     Select,
+    _Run,
+    _execute,
+    _exact_traces,
     argmax_pairs,
     c_avg_exact,
     concat,
@@ -26,12 +30,23 @@ from adasub.engine import (
     truncate,
 )
 from adasub.errors import AlreadyObservedError, MalformedInputError, PolicyBugError, TooLargeError
-from adasub.instances import ModularUtility, build_bags, build_truncation_pair
+from adasub.instances import (
+    ModularUtility,
+    build_bags,
+    build_random_tabular,
+    build_stochastic_cover,
+    build_truncation_pair,
+)
 from adasub.model import EMPTY, CoverageSpec, Instance, PartialRealization, TablePrior
 from adasub.policies import (
     fixed_batch_greedy,
     fixed_sequence_policy,
+    greedy_coverage,
     greedy_max,
+    optimal_coverage_dp,
+    optimal_policy_dp,
+    semi_adaptive_greedy_coverage,
+    semi_adaptive_greedy_max,
     threshold_policy,
 )
 
@@ -179,6 +194,122 @@ def test_empty_policy_scores_empty_set(anti_inst):
     empty = _policy_from_script([])
     rep = evaluate_exact(empty, anti_inst)
     assert rep.f_avg == 0.0 and rep.c_avg == 0.0 and rep.expected_rounds == 0.0
+
+
+# --- exact evaluation by replayed reply sequences -----------------------------------
+
+
+def _every_policy(inst, k):
+    """Every policy constructor, and each combinator over some of them."""
+    inner = [
+        greedy_max(k),
+        semi_adaptive_greedy_max(k, 0.2),
+        semi_adaptive_greedy_max(k, 0.2, "rig"),
+        fixed_batch_greedy(2, k),
+        fixed_sequence_policy(range(k)),
+        threshold_policy(0.5, coin_p=0.25),
+        threshold_policy(0.3, coin_p=0.5, mode="sav"),
+        optimal_policy_dp(k),
+    ]
+    if inst.coverage is not None:
+        inner += [greedy_coverage(), semi_adaptive_greedy_coverage(eps=0.2), optimal_coverage_dp()]
+    return inner + [
+        concat(inner[3], inner[0]),
+        concat(inner[5], inner[1]),
+        truncate(inner[1], 2),
+        limit_rounds(inner[1], 1),
+        limit_rounds(inner[6], 2),
+    ]
+
+
+def _plain_traces(policy, inst):
+    """(weight, trace) of one plain run per support row and seed branch."""
+    return [
+        (w * pt, _execute(policy, inst, phi, theta, rng_seed=EXACT_SEED))
+        for phi, w in inst.prior.support()
+        for theta, pt in policy.seed_space
+        if pt > 0
+    ]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_stochastic_cover(6, 12, 2, seed=3),
+        lambda: build_stochastic_cover(6, 12, 3, seed=4),
+        lambda: build_bags(3),
+        lambda: build_truncation_pair()[0],
+        lambda: build_truncation_pair()[1],
+        lambda: build_random_tabular(4, 6, 0),
+        lambda: build_random_tabular(4, 6, 1),
+    ],
+    ids=["cover-m2", "cover-m3", "bags-k3", "trunc-f", "trunc-g", "tab-s0", "tab-s1"],
+)
+def test_exact_traces_equal_plain_rows(build):
+    inst = build()
+    for pol in _every_policy(inst, min(3, inst.n)):
+        assert list(_exact_traces(pol, inst)) == _plain_traces(pol, inst), pol.name
+
+
+def test_exact_traces_equal_plain_rows_with_sampled_fallbacks(monkeypatch):
+    monkeypatch.setenv("ADASUB_BRANCH_CAP", "3")
+    monkeypatch.setenv("ADASUB_MC_FALLBACK", "200")
+    inst = build_stochastic_cover(6, 12, 2, seed=3)
+    flagged = 0
+    for pol in _every_policy(inst, 3):
+        rows = list(_exact_traces(pol, inst))
+        assert rows == _plain_traces(pol, inst), pol.name
+        flagged += sum("sav-mc" in tr.flags for _w, tr in rows)
+    assert flagged > 0
+
+
+def _reply_log(policy, log):
+    """`policy`, adding the sequence of replies of each of its runs to `log`."""
+
+    def play(inst, ctx):
+        replies = []
+        run = _Run(policy.play(inst, ctx), policy.name)
+        for action in run:
+            if action is QUERY:
+                run.reply = yield QUERY
+                replies.append(tuple(run.reply.items()))
+            else:
+                yield action
+        log.add(tuple(replies))
+
+    return Policy(name=policy.name, play=play, seed_space=policy.seed_space)
+
+
+def test_exact_runs_policy_once_per_reply_sequence():
+    inst = build_stochastic_cover(8, 16, 2, seed=0)
+    rows = inst.prior.support_size()
+    assert rows == 256
+    for base in (greedy_max(4), semi_adaptive_greedy_coverage(eps=0.2)):
+        sequences = set()
+        for phi, _w in inst.prior.support():
+            _execute(_reply_log(base, sequences), inst, phi, None, rng_seed=EXACT_SEED)
+        starts = []
+
+        def play(inst, ctx, play=base.play, starts=starts):
+            starts.append(ctx.seed)
+            return play(inst, ctx)
+
+        rep = evaluate_exact(Policy(name=base.name, play=play), inst)
+        assert rep == evaluate_exact(base, inst)
+        assert len(starts) == len(sequences) <= rows // 2, base.name
+
+
+def test_exact_rejects_actions_not_driven_by_replies():
+    ticks = itertools.count()
+
+    def play(inst, ctx):
+        for _ in range(2):
+            yield Select(next(ticks) % inst.n)
+            yield QUERY
+
+    ticking = Policy(name="ticking", play=play)
+    with pytest.raises(PolicyBugError, match="^ticking changed its actions on replayed replies"):
+        evaluate_exact(ticking, build_stochastic_cover(6, 12, 2, seed=3))
 
 
 # --- Monte Carlo evaluation -------------------------------------------------------
