@@ -20,11 +20,10 @@ follow a counter kept across runs instead of its replies.  Bags-k4 and bags-k5
 add batch scores, sav-mode calibrations and (bags-k4) MC reports, none of
 which enumerates the support.  Two cap cases: DP values under a lowered state
 cap, fresh and after another budget on the same instance, and, under a lowered
-support cap, exact bags reports with and without a per-call override and the
-bags submodularity check.  Coverage optima and exact opt-cov-dp reports under
-a non-unit cost vector, as a spec override and on the instance, for three
-quotas up to the best full-observation value on covers, bags-k3, the
-truncation pair and four tabular instances.  Takes about a minute on 2 CPUs.
+support cap, an exact bags report and the bags submodularity check.  Coverage
+optima and exact opt-cov-dp reports under a non-unit cost vector on the
+instance, for three quotas up to the best full-observation value on covers,
+bags-k3, the truncation pair and four tabular instances.  Takes about a minute on 2 CPUs.
 """
 from __future__ import annotations
 
@@ -192,10 +191,10 @@ def verifiers(inst, k: int) -> None:
         attempt(("decay", inst.name, t), measure_superround_decay, inst, 0.2, 0.1, 20, 3, None, t)
     if inst.coverage is not None:
         attempt(("eta", inst.name), verify_eta, inst)
-        attempt(("eta", inst.name, "spec"), verify_eta, inst, CoverageSpec(quota=2.0, eta=1.5))
-        attempt(("coverage-bound", inst.name), verify_coverage_bound, inst, None,
-                optimal_coverage_dp())
-        attempt(("corollary-delta", inst.name), verify_corollary_delta, inst, None,
+        attempt(("eta", inst.name, "spec"), verify_eta,
+                dataclasses.replace(inst, coverage=CoverageSpec(quota=2.0, eta=1.5)))
+        attempt(("coverage-bound", inst.name), verify_coverage_bound, inst, optimal_coverage_dp())
+        attempt(("corollary-delta", inst.name), verify_corollary_delta, inst,
                 optimal_coverage_dp())
 
 
@@ -259,17 +258,13 @@ def weighted_cover(n: int, universe: int, seed: int):
 
 def costed_coverage(inst) -> None:
     """Coverage optima and exact opt-cov-dp reports under a non-unit cost
-    vector, given as a spec override and as the instance's own goal (reports
-    charge the instance's costs)."""
+    vector, given as the instance's own goal."""
     costs = tuple(0.5 + 0.375 * ((3 * e + 1) % 4) for e in range(inst.n))
     top = max(inst.utility(PartialRealization.project(phi, range(inst.n)))
               for phi, _w in inst.prior.support())
     for quota in (0.4 * top, 0.7 * top, top):
         spec = CoverageSpec(quota=quota, costs=costs)
         costed = dataclasses.replace(inst, name=f"{inst.name}-q{quota}-costed", coverage=spec)
-        attempt(("opt-cov", inst.name, spec), optimal_coverage_cost, inst, spec)
-        attempt(("exact", inst.name, "opt-cov-dp", spec),
-                evaluate_exact, optimal_coverage_dp(spec), inst)
         attempt(("opt-cov", costed.name), optimal_coverage_cost, costed)
         attempt(("exact", costed.name, "opt-cov-dp"), evaluate_exact, optimal_coverage_dp(), costed)
 
@@ -298,8 +293,7 @@ def main() -> None:
         for k in (2, 3):
             attempt(("opt-cap", inst.name, "after-2", k), optimal_value, inst, k)
     with env(max_support=50):
-        for cap in (None, 10**6):
-            attempt(("support-cap", bags.name, cap), evaluate_exact, greedy_max(1), bags, cap)
+        attempt(("support-cap", bags.name, None), evaluate_exact, greedy_max(1), bags)
         attempt(("support-cap", bags.name, "submodular"), check_adaptive_submodular, bags)
 
     for inst in build_truncation_pair():

@@ -353,9 +353,9 @@ def _suite_rows(suite: str, src: Any, p: dict[str, Any], missing: str) -> list[B
     if suite == "eta":
         return [verify_eta(inst)]
     if suite == "coverage-bound":
-        return [verify_coverage_bound(inst, None, optimal_coverage_dp())]
+        return [verify_coverage_bound(inst, optimal_coverage_dp())]
     if suite == "corollary-delta":
-        return [verify_corollary_delta(inst, None, optimal_coverage_dp())]
+        return [verify_corollary_delta(inst, optimal_coverage_dp())]
     if suite == "decay":
         return [
             measure_superround_decay(

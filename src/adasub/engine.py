@@ -38,8 +38,8 @@ from .model import (
     UtilityFunction,
 )
 
-# Enumeration caps; each can be overridden by the matching ADASUB_* env var
-# or per call.  Documented in the CLI help and README.
+# Enumeration caps; each can be overridden by the matching ADASUB_* env var.
+# Documented in the CLI help and README.
 CAP_DEFAULTS = {
     "max_support": 10**6,   # prior support size x policy seed branches
     "max_states": 10**5,    # memoized states in dynamic programs
@@ -48,9 +48,7 @@ CAP_DEFAULTS = {
 }
 
 
-def cap_value(name: str, override: int | None = None) -> int:
-    if override is not None:
-        return int(override)
+def cap_value(name: str) -> int:
     env = os.environ.get("ADASUB_" + name.upper())
     if env is not None:
         try:
@@ -377,9 +375,9 @@ class EvalReport:
         }
 
 
-def _checked_support(inst: Instance, branches: int, max_support: int | None = None):
+def _checked_support(inst: Instance, branches: int):
     """The prior support, once support size x `branches` is within max_support."""
-    cap = cap_value("max_support", max_support)
+    cap = cap_value("max_support")
     size = inst.prior.support_size() * branches
     if size > cap:
         raise TooLargeError(
@@ -445,27 +443,25 @@ def _replayed(policy: Policy) -> Policy:
     return Policy(name=policy.name, play=play, seed_space=policy.seed_space)
 
 
-def _exact_traces(
-    policy: Policy, inst: Instance, max_support: int | None = None
-) -> Iterator[tuple[float, PolicyTrace]]:
+def _exact_traces(policy: Policy, inst: Instance) -> Iterator[tuple[float, PolicyTrace]]:
     """(weight, trace) over prior support x policy seed branches, at EXACT_SEED.
 
     Each seed branch runs its own _replayed copy of the policy, so the policy
     runs once per distinct reply sequence, not once per support row.
     """
     branches = [(theta, pt, _replayed(policy)) for theta, pt in policy.seed_space if pt > 0]
-    for phi, w in _checked_support(inst, len(policy.seed_space), max_support):
+    for phi, w in _checked_support(inst, len(policy.seed_space)):
         for theta, pt, replayed in branches:
             yield w * pt, _execute(replayed, inst, phi, theta, rng_seed=EXACT_SEED)
 
 
-def evaluate_exact(policy: Policy, inst: Instance, max_support: int | None = None) -> EvalReport:
+def evaluate_exact(policy: Policy, inst: Instance) -> EvalReport:
     """Exact expectations by enumerating prior support x policy seed branches."""
     f_terms: list[float] = []
     c_terms: list[float] = []
     r_terms: list[float] = []
     flags: set[str] = set()
-    for w, tr in _exact_traces(policy, inst, max_support):
+    for w, tr in _exact_traces(policy, inst):
         f_terms.append(w * tr.value)
         c_terms.append(w * tr.cost)
         r_terms.append(w * tr.rounds)

@@ -5,9 +5,9 @@ Select/Query/Stop protocol.  Policies keep their own view of observations
 (accumulated Query responses); the runner owns the global trace.
 
 The greedy, coverage, threshold, semi-adaptive and fixed-batch policies are
-one generator, _greedy, run with different budgets, observe rules, accept
-rules and coverage goals; it scores every decision state, gap tests included,
-through _sav_and_denom.  calibrate_tau replays it to read off score paths.
+one generator, _greedy, run with different budgets, observe rules and accept
+rules, with or without the instance's coverage goal; it scores every decision
+state, gap tests included, through _sav_and_denom.  calibrate_tau replays it to read off score paths.
 """
 from __future__ import annotations
 
@@ -48,21 +48,14 @@ _EQ_TOL = 1e-12
 _COVER_TOL = 1e-9
 
 
-def _active_spec(inst: Instance, spec: CoverageSpec | None) -> CoverageSpec:
-    if spec is not None:
-        return spec
+def _goal(inst: Instance) -> CoverageSpec:
     if inst.coverage is None:
         raise MalformedInputError(f"instance {inst.name} has no coverage goal")
     return inst.coverage
 
 
-def covered(inst: Instance, psi: PartialRealization, spec: CoverageSpec | None = None) -> bool:
-    spec = _active_spec(inst, spec)
-    return inst.utility(psi) >= spec.quota - _COVER_TOL
-
-
-def _spec_cost(spec: CoverageSpec, e: int) -> float:
-    return 1.0 if spec.costs is None else spec.costs[e]
+def covered(inst: Instance, psi: PartialRealization) -> bool:
+    return inst.utility(psi) >= _goal(inst).quota - _COVER_TOL
 
 
 # --- the greedy kernel, shared by every marginal-driven policy ---------------
@@ -76,7 +69,7 @@ def _greedy(
     every: int,
     eps: float | None = None,
     gap: str = "ig",
-    goal: CoverageSpec | None = None,
+    cover: bool = False,
     accept: Callable[[float], bool] | None = None,
 ):
     """The greedy loop behind every marginal-driven policy.
@@ -88,35 +81,36 @@ def _greedy(
 
     Observation happens after every `every` picks (policies that observe only
     at the end pass their budget) and, with eps given, whenever the gap ratio
-    of a non-empty batch drops below 1 - eps.  A coverage goal caps scores at
-    the quota, ranks them per unit cost and stops the run once the quota is
-    reached; when nothing left helps in expectation the batch is resolved
-    first, and with no batch outstanding the run ends flagged "uncovered".
+    of a non-empty batch drops below 1 - eps.  With cover, the instance's
+    coverage goal caps scores at its quota, ranks them per unit of inst.cost
+    and stops the run once the quota is reached; when nothing left helps in
+    expectation the batch is resolved first, and with no batch outstanding
+    the run ends flagged "uncovered".
     accept sees each best score before its pick; False observes the batch and
     ends the run.
     """
-    cap = goal.quota if goal is not None else None
+    cap = _goal(inst).quota if cover else None
     view: dict[int, int] = {}
     selected: set[int] = set()
     pending: list[int] = []
     while True:
         psi = PartialRealization(view)
-        if goal is not None and covered(inst, psi, goal):
+        if cover and covered(inst, psi):
             return
         stuck = len(selected) >= budget
         if not stuck:
             cands = [e for e in range(inst.n) if e not in selected]
             scores, denom = _sav_and_denom(inst, psi, pending, cands, ctx, cap)
-            if goal is None:
+            if not cover:
                 e, best = argmax_pairs(zip(cands, scores))
             else:
-                e, best = argmax_pairs((c, s / _spec_cost(goal, c)) for c, s in zip(cands, scores))
+                e, best = argmax_pairs((c, s / inst.cost(c)) for c, s in zip(cands, scores))
                 # Nothing left helps in expectation, either because the batch
                 # already reaches the quota on every branch or because the
                 # quota is out of reach.
                 stuck = best <= _EQ_TOL
         if stuck and not pending:
-            if goal is not None:
+            if cover:
                 ctx.flags.add("uncovered")
             return
         observe = stuck  # with a batch outstanding, resolve it and look again
@@ -150,17 +144,16 @@ def greedy_max(k: int) -> Policy:
     return Policy(name=f"greedy(k={k})", play=play)
 
 
-def greedy_coverage(spec: CoverageSpec | None = None) -> Policy:
+def greedy_coverage() -> Policy:
     """Fully adaptive cost-benefit greedy, run until the quota is reached.
 
     Scores are quota-capped (gains past the quota do not count), so the ratio
     rule optimizes exactly the remaining coverage headroom.  The coverage goal
-    defaults to the instance's own; pass a spec to override it.
+    is the instance's own.
     """
 
     def play(inst: Instance, ctx: PolicyContext):
-        goal = _active_spec(inst, spec)
-        yield from _greedy(inst, ctx, inst.n, every=1, goal=goal)
+        yield from _greedy(inst, ctx, inst.n, every=1, cover=True)
 
     return Policy(name="greedy-cov", play=play)
 
@@ -253,10 +246,6 @@ class ThresholdCalibration:
     alpha: float
     beta: float
     coin_p: float
-
-    @property
-    def tau(self) -> float:
-        return self.tau_i
 
     def policy(self, mode: str = "marginal") -> Policy:
         return threshold_policy(self.tau_i, self.coin_p, mode)
@@ -381,7 +370,6 @@ class SemiAdaptiveState:
     psi: PartialRealization
     selected: tuple[int, ...]
     pending: tuple[int, ...]
-    step: int = 0
 
     def __post_init__(self):
         if any(e in self.psi for e in self.pending):
@@ -396,7 +384,6 @@ class SemiAdaptiveState:
             psi=psi,
             selected=sel,
             pending=tuple(e for e in sel if e not in psi),
-            step=len(sel),
         )
 
 
@@ -485,9 +472,7 @@ def semi_adaptive_greedy_max(k: int, eps: float, gap: str = "ig") -> Policy:
     return Policy(name=f"semi(k={k},eps={eps:.6g},{gap})", play=play)
 
 
-def semi_adaptive_greedy_coverage(
-    spec: CoverageSpec | None = None, eps: float = 0.1, gap: str = "rig"
-) -> Policy:
+def semi_adaptive_greedy_coverage(eps: float = 0.1, gap: str = "rig") -> Policy:
     """Coverage greedy with batched observation, guarded by the gap ratio.
 
     Extends the batch while the ratio holds and quota-capped batch scores stay
@@ -500,8 +485,7 @@ def semi_adaptive_greedy_coverage(
         raise MalformedInputError(f"unknown gap kind {gap!r}")
 
     def play(inst: Instance, ctx: PolicyContext):
-        goal = _active_spec(inst, spec)
-        yield from _greedy(inst, ctx, inst.n, every=inst.n, eps=eps, gap=gap, goal=goal)
+        yield from _greedy(inst, ctx, inst.n, every=inst.n, eps=eps, gap=gap, cover=True)
 
     return Policy(name=f"semi-cov(eps={eps:.6g},{gap})", play=play)
 
@@ -542,37 +526,37 @@ def fixed_sequence_policy(seq: Iterable[int]) -> Policy:
 
 
 def _dp(
-    inst: Instance, psi: PartialRealization, memo: dict, left: int, goal: CoverageSpec | None
+    inst: Instance, psi: PartialRealization, memo: dict, left: int, cover: bool
 ) -> tuple[float, int | None]:
     """Exact optimum from psi and the first pick attaining it (smallest id on
-    ties; None at a final state): with goal None the best expected value with
-    `left` picks left, else the least expected cost of reaching the goal's
-    quota.  memo serves one goal and, for values, one budget, so |psi| + left
-    is constant within it."""
+    ties; None at a final state): without cover the best expected value with
+    `left` picks left, else the least expected inst.cost of reaching the
+    instance's quota.  memo serves one objective and, for values, one budget,
+    so |psi| + left is constant within it."""
     hit = memo.get(psi.pairs)
     if hit is not None:
         return hit
-    if goal is None and (left == 0 or len(psi) == inst.n):
+    if not cover and (left == 0 or len(psi) == inst.n):
         best = (inst.utility(psi), None)
-    elif goal is not None and covered(inst, psi, goal):
+    elif cover and covered(inst, psi):
         best = (0.0, None)
     elif len(psi) == inst.n:  # an uncovered full view
         raise InfeasibleError(f"realization {psi!r} cannot reach the quota on {inst.name}")
     else:
         if len(memo) >= cap_value("max_states"):
-            what = f"budget-{left} optimum" if goal is None else "coverage optimum"
+            what = "coverage optimum" if cover else f"budget-{left} optimum"
             raise TooLargeError(f"{what} exceeds the state cap on {inst.name}")
-        best = (-math.inf if goal is None else math.inf, None)
+        best = (math.inf if cover else -math.inf, None)
         for e in range(inst.n):
             if e in psi:
                 continue
             ev = math.fsum(
-                p * _dp(inst, psi.extend(e, o), memo, left - 1, goal)[0]
+                p * _dp(inst, psi.extend(e, o), memo, left - 1, cover)[0]
                 for o, p in inst.prior.outcome_dist(e, psi)
             )
-            if goal is not None:
-                ev += _spec_cost(goal, e)
-            if (ev > best[0]) if goal is None else (ev < best[0]):
+            if cover:
+                ev += inst.cost(e)
+            if (ev < best[0]) if cover else (ev > best[0]):
                 best = (ev, e)
     memo[psi.pairs] = best
     return best
@@ -580,30 +564,32 @@ def _dp(
 
 def optimal_value(inst: Instance, k: int) -> float:
     """Expected value of the best k-selection policy (exact, memoized)."""
-    return _dp(inst, EMPTY, {}, min(k, inst.n), None)[0]
+    return _dp(inst, EMPTY, {}, min(k, inst.n), False)[0]
 
 
-def optimal_coverage_cost(inst: Instance, spec: CoverageSpec | None = None) -> float:
+def optimal_coverage_cost(inst: Instance) -> float:
     """Expected cost of the cheapest quota-reaching policy (exact, memoized)."""
-    return _dp(inst, EMPTY, {}, inst.n, _active_spec(inst, spec))[0]
+    return _dp(inst, EMPTY, {}, inst.n, True)[0]
 
 
-def _dp_policy(name: str, setup: Callable[[Instance], tuple[CoverageSpec | None, int]]) -> Policy:
-    """Policy playing _dp's first pick at each state, with (goal, budget) =
-    setup(inst).  Its memo lives as long as the policy and the instance, so
-    support rows and combinator phases share it.  An uncovered state with
-    nothing left to pick ends the run flagged "uncovered"."""
+def _dp_policy(name: str, k: int | None) -> Policy:
+    """Policy playing _dp's first pick at each state: the budget-k optimum, or
+    with k None the coverage optimum.  Its memo lives as long as the policy
+    and the instance, so support rows and combinator phases share it.  An
+    uncovered state with nothing left to pick ends the run flagged
+    "uncovered"."""
     memos: "WeakKeyDictionary[Instance, dict]" = WeakKeyDictionary()
+    cover = k is None
 
     def play(inst: Instance, ctx: PolicyContext):
-        goal, left = setup(inst)
+        left = inst.n if cover else min(k, inst.n)
         memo = memos.setdefault(inst, {})
         psi = EMPTY
         while True:
-            if goal is not None and len(psi) == inst.n and not covered(inst, psi, goal):
+            if cover and len(psi) == inst.n and not covered(inst, psi):
                 ctx.flags.add("uncovered")
                 return
-            e = _dp(inst, psi, memo, left, goal)[1]
+            e = _dp(inst, psi, memo, left, cover)[1]
             if e is None:
                 return
             yield Select(e)
@@ -622,9 +608,9 @@ def optimal_policy_dp(k: int) -> Policy:
     """
     if k < 0:
         raise MalformedInputError("budget must be >= 0")
-    return _dp_policy(f"opt-dp(k={k})", lambda inst: (None, min(k, inst.n)))
+    return _dp_policy(f"opt-dp(k={k})", k)
 
 
-def optimal_coverage_dp(spec: CoverageSpec | None = None) -> Policy:
+def optimal_coverage_dp() -> Policy:
     """Policy realizing the exact minimum expected coverage cost."""
-    return _dp_policy("opt-cov-dp", lambda inst: (_active_spec(inst, spec), inst.n))
+    return _dp_policy("opt-cov-dp", None)

@@ -156,8 +156,8 @@ def test_criterion_05_coverage_cost_bounds(capsys, cover_corpus):
     for inst in cover_corpus:
         pi_star = optimal_coverage_dp()
         violations += not verify_eta(inst).satisfied
-        violations += not verify_coverage_bound(inst, None, pi_star).satisfied
-        violations += not verify_corollary_delta(inst, None, pi_star).satisfied
+        violations += not verify_coverage_bound(inst, pi_star).satisfied
+        violations += not verify_corollary_delta(inst, pi_star).satisfied
     ok = violations == 0
     _report(
         capsys, 5, ok,

@@ -177,15 +177,14 @@ def test_exact_averages_over_seed_space(anti_inst):
     assert math.isclose(rep.c_avg, 0.25 * 1.5, abs_tol=1e-12)
 
 
-def test_exact_support_cap(anti_inst):
+def test_exact_support_cap(anti_inst, monkeypatch):
+    monkeypatch.setenv("ADASUB_MAX_SUPPORT", "1")
     with pytest.raises(TooLargeError):
-        evaluate_exact(greedy_max(1), anti_inst, max_support=1)
+        evaluate_exact(greedy_max(1), anti_inst)
 
 
-def test_bags_support_honours_per_call_cap(monkeypatch):
+def test_bags_support_honours_env_cap(monkeypatch):
     monkeypatch.setenv("ADASUB_MAX_SUPPORT", "50")  # bags-k3 has 105 realizations
-    rep = evaluate_exact(greedy_max(1), build_bags(3), max_support=10**6)
-    assert rep.f_avg == 1.0
     with pytest.raises(TooLargeError):
         evaluate_exact(greedy_max(1), build_bags(3))
 

@@ -82,7 +82,7 @@ def test_greedy_coverage_needs_spec(anti_inst):
 
 def test_greedy_coverage_uncovered_flag(tiny_cover):
     spec = CoverageSpec(quota=3.0)  # only 2 items coverable
-    tr = run_policy(greedy_coverage(spec), tiny_cover, (0, 0, 0))
+    tr = run_policy(greedy_coverage(), dataclasses.replace(tiny_cover, coverage=spec), (0, 0, 0))
     assert "uncovered" in tr.flags
     assert tr.selected == (0, 1)  # zero-gain element 2 is never bought
 
@@ -90,10 +90,11 @@ def test_greedy_coverage_uncovered_flag(tiny_cover):
 def test_greedy_coverage_cost_ratio(tiny_cover):
     # element 1 becomes 4x cheaper: per-cost gain now prefers it first
     spec = CoverageSpec(quota=2.0, costs=(1.0, 0.25, 1.0))
-    tr = run_policy(greedy_coverage(spec), tiny_cover, (0, 0, 0))
+    costed = dataclasses.replace(tiny_cover, coverage=spec)
+    tr = run_policy(greedy_coverage(), costed, (0, 0, 0))
     assert tr.selected == (1, 0)
-    semi = semi_adaptive_greedy_coverage(spec, 0.1)
-    assert run_policy(semi, tiny_cover, (0, 0, 0)).selected == (1, 0)
+    semi = semi_adaptive_greedy_coverage(0.1)
+    assert run_policy(semi, costed, (0, 0, 0)).selected == (1, 0)
     # without costs the batching variant picks in id order
     plain = semi_adaptive_greedy_coverage(eps=0.1)
     assert run_policy(plain, tiny_cover, (0, 0, 0)).selected == (0, 1)
@@ -114,7 +115,7 @@ def test_threshold_boundary_modes(anti_inst):
 def test_calibration_oracle(anti_inst):
     cal = calibrate_tau(anti_inst, 1)
     assert isinstance(cal, ThresholdCalibration)
-    assert cal.tau_i == 0.5 and cal.tau == 0.5
+    assert cal.tau_i == 0.5
     assert cal.alpha == 0.0 and cal.beta == 1.5
     assert math.isclose(cal.coin_p, 2.0 / 3.0)
     assert math.isclose(c_avg_exact(cal.policy(), anti_inst), 1.0, abs_tol=1e-9)
@@ -221,7 +222,8 @@ def test_semi_policies_collapse_on_deterministic(tiny_cover):
 
 def test_semi_cov_uncovered_flag(tiny_cover):
     spec = CoverageSpec(quota=3.0)
-    tr = run_policy(semi_adaptive_greedy_coverage(spec, eps=0.1), tiny_cover, (0, 0, 0))
+    inst = dataclasses.replace(tiny_cover, coverage=spec)
+    tr = run_policy(semi_adaptive_greedy_coverage(eps=0.1), inst, (0, 0, 0))
     assert "uncovered" in tr.flags
 
 
@@ -365,7 +367,7 @@ def test_coverage_dp(tiny_cover):
 def test_coverage_dp_infeasible(tiny_cover):
     spec = CoverageSpec(quota=5.0)
     with pytest.raises(InfeasibleError):
-        optimal_coverage_cost(tiny_cover, spec)
+        optimal_coverage_cost(dataclasses.replace(tiny_cover, coverage=spec))
 
 
 def test_coverage_dp_beats_or_ties_greedy_on_corpus():
@@ -377,9 +379,9 @@ def test_coverage_dp_beats_or_ties_greedy_on_corpus():
         )
         if quota <= 0:
             continue
-        spec = CoverageSpec(quota=min(2.0, quota))
-        star = optimal_coverage_cost(inst, spec)
-        greedy_cost = c_avg_exact(greedy_coverage(spec), inst)
+        inst = dataclasses.replace(inst, coverage=CoverageSpec(quota=min(2.0, quota)))
+        star = optimal_coverage_cost(inst)
+        greedy_cost = c_avg_exact(greedy_coverage(), inst)
         assert star <= greedy_cost + 1e-9
 
 
@@ -416,11 +418,9 @@ def test_coverage_dp_equals_exhaustive_tree(inst, scale):
     spec = _reachable_quota_spec(inst, scale)
     assert spec.quota > 0
     brute = _cheapest_tree_cost(inst, EMPTY, list(range(inst.n)), spec)
-    assert math.isclose(optimal_coverage_cost(inst, spec), brute, abs_tol=1e-12)
-    # reports charge the instance's own costs, so the goal goes on the instance
     costed = dataclasses.replace(inst, coverage=spec)
-    assert optimal_coverage_cost(costed) == optimal_coverage_cost(inst, spec)
-    rep = evaluate_exact(optimal_coverage_dp(spec), costed)
+    assert math.isclose(optimal_coverage_cost(costed), brute, abs_tol=1e-12)
+    rep = evaluate_exact(optimal_coverage_dp(), costed)
     assert math.isclose(rep.c_avg, brute, abs_tol=1e-12)
     assert rep.flags == ()
     for k in (1, 2, 3):

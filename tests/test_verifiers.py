@@ -1,4 +1,5 @@
 """Numerical certificates: checkers, bound verifiers, and report plumbing."""
+import dataclasses
 import math
 import time
 
@@ -13,6 +14,7 @@ from adasub.policies import (
     calibrate_tau,
     greedy_coverage,
     greedy_max,
+    optimal_coverage_cost,
     optimal_coverage_dp,
     optimal_policy_dp,
     threshold_policy,
@@ -105,7 +107,7 @@ def test_eta_gap(tiny_cover):
     assert res.name == "eta-gap" and res.satisfied
     # integer-valued coverage: largest sub-quota value is 1, quota - eta = 1
     assert res.lhs == 1.0 and res.rhs == 1.0
-    bad = verify_eta(tiny_cover, CoverageSpec(quota=2.0, eta=1.5))
+    bad = verify_eta(dataclasses.replace(tiny_cover, coverage=CoverageSpec(quota=2.0, eta=1.5)))
     assert not bad.satisfied and bad.witness is not None
 
 
@@ -176,14 +178,14 @@ def test_eq_main_replays_kernel_once(monkeypatch):
 
 
 def test_coverage_bound_frozen(tiny_cover):
-    res = verify_coverage_bound(tiny_cover, None, optimal_coverage_dp())
+    res = verify_coverage_bound(tiny_cover, optimal_coverage_dp())
     assert res.satisfied
     assert math.isclose(res.rhs, 2.0, abs_tol=1e-12)  # greedy expected cost
     assert math.isclose(res.lhs, 3.0 * math.log(3.0 * 2.0) + 1.0, abs_tol=1e-9)
 
 
 def test_corollary_delta(tiny_cover):
-    res = verify_corollary_delta(tiny_cover, None, optimal_coverage_dp())
+    res = verify_corollary_delta(tiny_cover, optimal_coverage_dp())
     assert res.satisfied
     # deterministic prior: min weight 1, so the log argument is Q/eta = 2
     assert math.isclose(res.lhs, 3.0 * math.log(2.0) + 1.0, abs_tol=1e-9)
@@ -194,8 +196,19 @@ def test_coverage_bounds_on_cover_family():
         inst = build_stochastic_cover(4, 6, 2, seed=seed)
         assert verify_eta(inst).satisfied
         star = optimal_coverage_dp()
-        assert verify_coverage_bound(inst, None, star).satisfied, seed
-        assert verify_corollary_delta(inst, None, star).satisfied, seed
+        assert verify_coverage_bound(inst, star).satisfied, seed
+        assert verify_corollary_delta(inst, star).satisfied, seed
+
+
+def test_coverage_bounds_charge_the_instance_costs():
+    # The optimum, its policy's report and both verifiers' c_star all charge
+    # the goal's costs once that goal sits on the instance.
+    spec = CoverageSpec(quota=1.0, costs=(0.5, 2.0, 1.0, 1.5))
+    inst = dataclasses.replace(build_stochastic_cover(4, 6, 2, seed=0), coverage=spec)
+    assert optimal_coverage_cost(inst) == c_avg_exact(optimal_coverage_dp(), inst) == 0.5
+    star = optimal_coverage_dp()
+    assert verify_coverage_bound(inst, star).witness == "c_star=0.5"
+    assert verify_corollary_delta(inst, star).witness.startswith("c_star=0.5 delta=")
 
 
 def test_semi_max_bound(anti_inst):
@@ -318,10 +331,10 @@ def test_tolerance_boundary():
         slack=-5e-10, satisfied=True,
     )
     assert near.to_row()["satisfied"] == "true"
-    res = verify_eta(
+    res = verify_eta(dataclasses.replace(
         build_stochastic_cover(3, 4, 2, seed=0),
-        CoverageSpec(quota=4.0, eta=1.0 + 1e-10),
-    )
+        coverage=CoverageSpec(quota=4.0, eta=1.0 + 1e-10),
+    ))
     assert res.satisfied  # within the 1e-9 comparison tolerance
 
 
