@@ -12,18 +12,19 @@ batch scores and gap ratios, on bags-k3, the truncation pair, covers with
 n=5..8 and 2 or 3 outcomes, one weighted cover, 12 corpus tabular instances,
 the criterion-8 cover (semi, batch and threshold "sav" traces, and one dead
 batch past a branch cap of 3), and runs with the branch cap forced down to 3
-so that every sampled fallback fires.  Also the exact reports, MC reports,
-traces and expected selection counts of concat, truncate and limit_rounds,
-every verifier on small inputs, a policy that yields an unknown action, bare
-and inside each combinator, and the exact report of a policy whose picks
-follow a counter kept across runs instead of its replies.  Bags-k4 and bags-k5
-add batch scores, sav-mode calibrations and (bags-k4) MC reports, none of
-which enumerates the support.  Two cap cases: DP values under a lowered state
-cap, fresh and after another budget on the same instance, and, under a lowered
-support cap, an exact bags report and the bags submodularity check.  Coverage
-optima and exact opt-cov-dp reports under a non-unit cost vector on the
-instance, for three quotas up to the best full-observation value on covers,
-bags-k3, the truncation pair and four tabular instances.  Takes about a minute on 2 CPUs.
+so that every sampled fallback fires, in MC and in exact reports.  Also the
+exact reports, MC reports, traces and expected selection counts of concat,
+truncate and limit_rounds, every verifier on small inputs, a policy that
+yields an unknown action, bare and inside each combinator, and the exact
+report of a policy whose picks follow a counter kept across runs instead of
+its replies.  Bags-k4 and bags-k5 add batch scores, sav-mode calibrations and
+(bags-k4) MC reports, none of which enumerates the support.  Two cap cases: DP
+values under a lowered state cap, fresh and after another budget on the same
+instance, and, under a lowered support cap, an exact bags report and the bags
+submodularity check.  Coverage optima and exact opt-cov-dp reports under a
+non-unit cost vector on the instance, for three quotas up to the best
+full-observation value on covers, bags-k3, the truncation pair and four
+tabular instances.  Takes about a minute on 2 CPUs.
 """
 from __future__ import annotations
 
@@ -349,14 +350,18 @@ def main() -> None:
         attempt(("dead-batch", big.name, psi.pairs, (15, 18, 2, 8)),
                 scored_state, big, psi, [15, 18, 2, 8])
     with env(branch_cap=3, mc_fallback=200):
-        for inst in covers[:3] + [covers[-1], bags]:
-            plain = dataclasses.replace(inst, name=inst.name + "-plain",
-                                        fast_marginals=None, fast_sav=None)
-            for target in (inst, plain):
-                batch_scores(target, 5)
-                for pol in policies(target, 3):
-                    attempt(("mc", target.name, pol.name), evaluate_mc, pol, target, 20, 5)
-                attempt(("calibrate", target.name, "sav", 2), calibrate_tau, target, 2, "sav")
+        targets = [t for inst in covers[:3] + [covers[-1], bags]
+                   for t in (inst, dataclasses.replace(inst, name=inst.name + "-plain",
+                                                       fast_marginals=None, fast_sav=None))]
+        for target in targets:
+            batch_scores(target, 5)
+            for pol in policies(target, 3):
+                attempt(("mc", target.name, pol.name), evaluate_mc, pol, target, 20, 5)
+            attempt(("calibrate", target.name, "sav", 2), calibrate_tau, target, 2, "sav")
+        # Exact reports whose scorer calls draw from ctx.rng.
+        for target in targets:
+            for pol in policies(target, 3) + [threshold_policy(0.05, 0.5, "sav")]:
+                attempt(("exact", target.name, pol.name), evaluate_exact, pol, target)
     emit("done")
 
 

@@ -13,7 +13,9 @@ seeded generator.  Exact evaluation runs a policy once per distinct sequence
 of replies and serves the other support rows from the recorded actions.  So
 in exact mode a policy's actions must depend only on theta, ctx.rng and the
 replies; one that yields other actions when replayed on recorded replies
-raises PolicyBugError.
+raises PolicyBugError.  Within one exact evaluation each decision state is
+scored once; a scorer call that drew from ctx.rng is recomputed on every run,
+so sampled scores and their flags stay those of a plain run.
 """
 from __future__ import annotations
 
@@ -42,7 +44,7 @@ from .model import (
 # Documented in the CLI help and README.
 CAP_DEFAULTS = {
     "max_support": 10**6,   # prior support size x policy seed branches
-    "max_states": 10**5,    # memoized states in dynamic programs
+    "max_states": 10**5,    # memoized DP states; marginal cache entries per instance
     "branch_cap": 10**4,    # exact joint pending-outcome branches
     "mc_fallback": 10**4,   # samples used when the branch cap is exceeded
 }
@@ -82,24 +84,32 @@ class PolicyContext:
     """Per-run context handed to a policy generator.
 
     theta is the resolved seed-space value for randomized policies; rng is a
-    lazily created deterministic generator for internal sampling fallbacks.
-    flags collect notes (for example "sav-mc") that surface in reports.
+    lazily created deterministic generator for internal sampling fallbacks,
+    and draws counts the reads of rng, so a caller can tell whether a call
+    drew from it.  flags collect notes (for example "sav-mc") that surface in
+    reports.  memo, set only by exact evaluation, holds the scores of the
+    decision states met so far in that evaluation.
     """
 
     theta: Any = None
     seed: int = 0
     flags: set[str] = field(default_factory=set)
+    memo: dict | None = None
+    draws: int = 0
     _rng: np.random.Generator | None = None
 
     @property
     def rng(self) -> np.random.Generator:
+        self.draws += 1
         if self._rng is None:
             self._rng = np.random.default_rng(self.seed)
         return self._rng
 
     def child(self, theta: Any, salt: int) -> "PolicyContext":
-        # Children share the flag set so fallback notes propagate to the trace.
-        return PolicyContext(theta=theta, seed=(self.seed * 1000003 + salt) & 0x7FFFFFFF, flags=self.flags)
+        # Children share the flag set so fallback notes propagate to the
+        # trace, and the memo so inner policies reuse the scores.
+        seed = (self.seed * 1000003 + salt) & 0x7FFFFFFF
+        return PolicyContext(theta=theta, seed=seed, flags=self.flags, memo=self.memo)
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,8 +174,9 @@ def _execute(
     theta: Any,
     rng_seed: int,
     collect_rounds: bool = False,
+    memo: dict | None = None,
 ) -> PolicyTrace:
-    ctx = PolicyContext(theta=theta, seed=rng_seed)
+    ctx = PolicyContext(theta=theta, seed=rng_seed, memo=memo)
     f = inst.utility
     selected: list[int] = []
     sel_set: set[int] = set()
@@ -280,7 +291,8 @@ def marginals_for(
     cands: list[int],
     cap: float | None = None,
 ) -> list[float]:
-    """Marginal of every candidate, with caching; observed candidates score 0.
+    """Marginal of every candidate; observed candidates score 0.  Values are
+    cached per instance, and the cache is cleared when it holds max_states.
 
     With cap=Q the utility is replaced by min(f, Q), so gains past the quota
     do not count.  Coverage policies score with the cap; budget policies
@@ -301,6 +313,8 @@ def marginals_for(
         if v is None:
             if base is None:
                 base = inst.utility(psi)
+            if len(cache) >= cap_value("max_states"):
+                cache.clear()
             v = cache[key] = marginal(inst.utility, inst.prior, psi, e, cap, base)
         out.append(v)
     return out
@@ -402,9 +416,10 @@ def _replayed(policy: Policy) -> Policy:
 
     A run walks the recorded replies and runs the policy only where they
     leave the trie.  Then the policy restarts from the root on the run's own
-    fresh context and is fed the recorded replies, so its scorer calls and
-    ctx.rng draws are those of a plain run; it must yield the recorded
-    actions again, or the run raises PolicyBugError.
+    fresh context and is fed the recorded replies, so its ctx.rng draws are
+    those of a plain run (scores that drew nothing come from the context's
+    memo); it must yield the recorded actions again, or the run raises
+    PolicyBugError.
     """
     top: dict[None, _Node] = {}  # the root, once a run has recorded it
 
@@ -447,12 +462,15 @@ def _exact_traces(policy: Policy, inst: Instance) -> Iterator[tuple[float, Polic
     """(weight, trace) over prior support x policy seed branches, at EXACT_SEED.
 
     Each seed branch runs its own _replayed copy of the policy, so the policy
-    runs once per distinct reply sequence, not once per support row.
+    runs once per distinct reply sequence, not once per support row.  All
+    runs share one scorer memo, so a decision state met again on a restart
+    is not scored again.
     """
     branches = [(theta, pt, _replayed(policy)) for theta, pt in policy.seed_space if pt > 0]
+    memo: dict = {}
     for phi, w in _checked_support(inst, len(policy.seed_space)):
         for theta, pt, replayed in branches:
-            yield w * pt, _execute(replayed, inst, phi, theta, rng_seed=EXACT_SEED)
+            yield w * pt, _execute(replayed, inst, phi, theta, rng_seed=EXACT_SEED, memo=memo)
 
 
 def evaluate_exact(policy: Policy, inst: Instance) -> EvalReport:

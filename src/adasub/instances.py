@@ -313,6 +313,11 @@ def _bags_fast_sav(inst: Instance, psi: PartialRealization, pending, cands, ctx,
     blocked = set(psi.domain) | set(pending)
     if T - m <= 0:
         return [0.0 for _ in cands], 0.0
+    if cap is not None and cap < k:
+        # f counts at most k bags, so only a cap below k changes a score.
+        # Every free element scores the same, which is also the reference term.
+        gain = _bags_capped_gain(free, seen, T, m, cap)
+        return [0.0 if e in blocked else gain for e in cands], gain
 
     sav_const = 0.0
     denom_mass = 0.0
@@ -332,6 +337,40 @@ def _bags_fast_sav(inst: Instance, psi: PartialRealization, pending, cands, ctx,
     denom = denom_mass / (T - m)
     savs = [0.0 if e in blocked else sav_const for e in cands]
     return savs, denom
+
+
+def _bags_capped_gain(free: list[int], seen: set[int], T: int, m: int, cap: float) -> float:
+    """Expected min(f, cap) gain of a free element once a batch of m resolves.
+
+    The batch takes c_j of bag j's free slots with weight prod_j C(free_j, c_j)
+    out of C(T, m).  Given the batch, the element lands in an unseen bag it
+    missed with probability (free slots of those bags) / (T - m), and then
+    gains min(1, cap - f), f being the seen bags plus the unseen ones the
+    batch hit.  The walk over unseen bags keeps, per (slots taken, bags hit),
+    the weight and the weight times the free slots of the bags missed, in
+    integers; states whose gain is already 0 are dropped.
+    """
+    room = cap - len(seen)
+    if room <= 0:
+        return 0.0
+    states = {(0, 0): (1, 0)}  # (slots taken, bags hit) -> (weight, weighted missed slots)
+    for j, slots in enumerate(free):
+        if j in seen:
+            continue
+        nxt: dict[tuple[int, int], tuple[int, int]] = {}
+        for (s, d), (w, a) in states.items():
+            for c in range(min(slots, m - s) + 1):
+                if c and d + 1 >= room:
+                    break
+                b = math.comb(slots, c)
+                key = (s + c, d + (c > 0))
+                w0, a0 = nxt.get(key, (0, 0))
+                nxt[key] = (w0 + w * b, a0 + (a if c else a + slots * w) * b)
+        states = nxt
+    seen_slots = sum(free[j] for j in seen)
+    whole = math.comb(T, m) * (T - m)
+    return math.fsum(min(1.0, room - d) * (math.comb(seen_slots, m - s) * a / whole)
+                     for (s, d), (_w, a) in states.items())
 
 
 def build_bags(k: int, seed: int | None = None) -> Instance:

@@ -313,7 +313,34 @@ def _sav_and_denom(
     flagged "sav-mc".  The cover hook on product priors scores uncapped and
     dead batches (no reachable item left uncovered) exactly, without branches,
     so there "sav-mc" means a sample entered a nonzero reference term or score.
+
+    With ctx.memo set (exact evaluation), a state is scored once: a call that
+    neither read ctx.rng nor added a flag is kept, and later calls on the
+    same state get a copy of its scores.
     """
+    memo = ctx.memo
+    if memo is None:
+        return _score_state(inst, psi, pending, cands, ctx, cap)
+    key = (psi.pairs, tuple(pending), tuple(cands), cap)
+    hit = memo.get(key)
+    if hit is not None:
+        return list(hit[0]), hit[1]
+    draws, flagged = ctx.draws, len(ctx.flags)
+    scores, denom = _score_state(inst, psi, pending, cands, ctx, cap)
+    if ctx.draws == draws and len(ctx.flags) == flagged:
+        memo[key] = (tuple(scores), denom)
+    return scores, denom
+
+
+def _score_state(
+    inst: Instance,
+    psi: PartialRealization,
+    pending: list[int],
+    cands: list[int],
+    ctx: PolicyContext,
+    cap: float | None,
+) -> tuple[list[float], float]:
+    """_sav_and_denom without the memo."""
     if inst.fast_sav is not None:
         return inst.fast_sav(inst, psi, pending, cands, ctx, cap)
     blocked = set(psi.domain) | set(pending)
@@ -330,9 +357,10 @@ def _sav_and_denom(
             ctx.flags.add("sav-mc")
             samples = cap_value("mc_fallback")
             post = inst.prior.condition(psi)
+            rng = ctx.rng  # read even for zero samples, so the call counts as drawing
             branches = (
                 (tuple(phi[e] for e in pending), 1.0 / samples)
-                for phi in (post.sample(ctx.rng) for _ in range(samples))
+                for phi in (post.sample(rng) for _ in range(samples))
             )
         savs = [0.0] * len(free)
         denom = 0.0

@@ -1,4 +1,6 @@
 """Policy runner, exact and Monte Carlo evaluation, and combinators."""
+import collections
+import dataclasses
 import itertools
 import math
 
@@ -14,6 +16,7 @@ from adasub.engine import (
     QUERY,
     STOP,
     Select,
+    _MARGINAL_CACHE,
     _Run,
     _execute,
     _exact_traces,
@@ -296,6 +299,38 @@ def test_exact_runs_policy_once_per_reply_sequence():
         rep = evaluate_exact(Policy(name=base.name, play=play), inst)
         assert rep == evaluate_exact(base, inst)
         assert len(starts) == len(sequences) <= rows // 2, base.name
+
+
+def test_exact_scores_each_state_once():
+    base = build_stochastic_cover(8, 16, 2, seed=0)
+    calls = collections.Counter()
+
+    def fast_sav(inst, psi, pending, cands, ctx, cap=None):
+        calls[psi.pairs, tuple(pending), tuple(cands), cap] += 1
+        return base.fast_sav(inst, psi, pending, cands, ctx, cap)
+
+    inst = dataclasses.replace(base, fast_sav=fast_sav)
+    for pol in (greedy_max(4), semi_adaptive_greedy_max(4, 0.2),
+                semi_adaptive_greedy_coverage(eps=0.2)):
+        calls.clear()
+        rep = evaluate_exact(pol, inst)
+        assert rep == evaluate_exact(pol, base)
+        assert calls and set(calls.values()) == {1}, pol.name
+        # The memo lives for one evaluation: a second one scores every state again.
+        assert evaluate_exact(pol, inst) == rep
+        assert set(calls.values()) == {2}, pol.name
+
+
+def test_marginal_cache_is_bounded_by_state_cap(monkeypatch):
+    inst = build_random_tabular(5, 12, 3)
+    states = [PartialRealization.project(phi, range(j))
+              for phi, _w in inst.prior.support() for j in range(inst.n)]
+    want = [[marginal(inst.utility, inst.prior, psi, e) if e not in psi else 0.0
+             for e in range(inst.n)] for psi in states]
+    monkeypatch.setenv("ADASUB_MAX_STATES", "7")
+    for psi, row in zip(states, want):
+        assert marginals_for(inst, psi, list(range(inst.n))) == row
+        assert len(_MARGINAL_CACHE[inst]) <= 7
 
 
 def test_exact_rejects_actions_not_driven_by_replies():

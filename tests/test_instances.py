@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from adasub.engine import EXACT_SEED, PolicyContext, marginals_for
+from adasub.engine import EXACT_SEED, PolicyContext, evaluate_exact, marginals_for
 from adasub.errors import (
     InconsistentObservationError,
     MalformedInputError,
@@ -26,13 +26,15 @@ from adasub.instances import (
     load_instance,
     save_instance,
 )
-from adasub.model import EMPTY, PartialRealization
+from adasub.model import EMPTY, CoverageSpec, PartialRealization
 from adasub.policies import (
     SemiAdaptiveState,
     _sav_and_denom,
+    greedy_coverage,
     information_gap,
     optimal_coverage_cost,
     sav_values,
+    semi_adaptive_greedy_coverage,
 )
 from adasub.verifiers import verify_eta
 
@@ -151,13 +153,29 @@ def test_bags_fast_hooks_match_generic(bags3):
             psi = PartialRealization([(e, phi[e]) for e in order[:cut]])
             pending = order[cut: cut + int(rng.integers(0, 4))]
             cands = [e for e in range(inst.n) if e not in psi and e not in pending]
-            for cap in (None, inst.coverage.quota):
+            # Quotas below the bag count cap the utility (1.5 and 2.0 on both sizes).
+            for cap in (None, 1.5, 2.0, inst.coverage.quota):
                 ctx = PolicyContext(seed=EXACT_SEED)
                 fast, fast_ref = _sav_and_denom(inst, psi, pending, cands, ctx, cap)
                 slow, slow_ref = _sav_and_denom(plain, psi, pending, cands, ctx, cap)
                 assert np.allclose(fast, slow, rtol=0, atol=1e-12), (psi, pending, cap)
                 assert abs(fast_ref - slow_ref) <= 1e-12, (psi, pending, cap)
                 assert not ctx.flags
+
+
+def test_bags_hooks_apply_quota_cap():
+    # A quota below the bag count caps the count utility; the hooks must score
+    # min(f, quota) as the hook-free path does.
+    inst = dataclasses.replace(build_bags(3), coverage=CoverageSpec(quota=2.0, eta=1.0))
+    plain = dataclasses.replace(inst, fast_marginals=None, fast_sav=None)
+    for pol in (semi_adaptive_greedy_coverage(0.1), semi_adaptive_greedy_coverage(0.2, "ig"),
+                greedy_coverage()):
+        fast, slow = evaluate_exact(pol, inst), evaluate_exact(pol, plain)
+        assert fast.flags == slow.flags == ()
+        assert [fast.f_avg, fast.c_avg, fast.expected_rounds] == pytest.approx(
+            [slow.f_avg, slow.c_avg, slow.expected_rounds], rel=0, abs=1e-12), pol.name
+    rep = evaluate_exact(semi_adaptive_greedy_coverage(0.1), inst)
+    assert rep.f_avg == pytest.approx(8 / 3) and rep.c_avg == pytest.approx(5.0)
 
 
 # --- truncation pair --------------------------------------------------------------
