@@ -84,23 +84,23 @@ class PolicyContext:
     """Per-run context handed to a policy generator.
 
     theta is the resolved seed-space value for randomized policies; rng is a
-    lazily created deterministic generator for internal sampling fallbacks,
-    and draws counts the reads of rng, so a caller can tell whether a call
-    drew from it.  flags collect notes (for example "sav-mc") that surface in
-    reports.  memo, set only by exact evaluation, holds the scores of the
-    decision states met so far in that evaluation.
+    lazily created deterministic generator for internal sampling fallbacks.
+    flags collect notes (for example "sav-mc") that surface in reports.
+    Exact evaluation alone sets _memo, the scores of the decision states met
+    so far in that evaluation; _draws counts the reads of rng, so the scorer
+    can tell whether a call drew from it.
     """
 
     theta: Any = None
     seed: int = 0
     flags: set[str] = field(default_factory=set)
-    memo: dict | None = None
-    draws: int = 0
     _rng: np.random.Generator | None = None
+    _memo: dict | None = field(default=None, init=False, repr=False)
+    _draws: int = field(default=0, init=False, repr=False)
 
     @property
     def rng(self) -> np.random.Generator:
-        self.draws += 1
+        self._draws += 1
         if self._rng is None:
             self._rng = np.random.default_rng(self.seed)
         return self._rng
@@ -108,8 +108,9 @@ class PolicyContext:
     def child(self, theta: Any, salt: int) -> "PolicyContext":
         # Children share the flag set so fallback notes propagate to the
         # trace, and the memo so inner policies reuse the scores.
-        seed = (self.seed * 1000003 + salt) & 0x7FFFFFFF
-        return PolicyContext(theta=theta, seed=seed, flags=self.flags, memo=self.memo)
+        kid = PolicyContext(theta=theta, seed=(self.seed * 1000003 + salt) & 0x7FFFFFFF, flags=self.flags)
+        kid._memo = self._memo
+        return kid
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,7 +177,8 @@ def _execute(
     collect_rounds: bool = False,
     memo: dict | None = None,
 ) -> PolicyTrace:
-    ctx = PolicyContext(theta=theta, seed=rng_seed, memo=memo)
+    ctx = PolicyContext(theta=theta, seed=rng_seed)
+    ctx._memo = memo
     f = inst.utility
     selected: list[int] = []
     sel_set: set[int] = set()

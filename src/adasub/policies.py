@@ -314,20 +314,21 @@ def _sav_and_denom(
     dead batches (no reachable item left uncovered) exactly, without branches,
     so there "sav-mc" means a sample entered a nonzero reference term or score.
 
-    With ctx.memo set (exact evaluation), a state is scored once: a call that
-    neither read ctx.rng nor added a flag is kept, and later calls on the
-    same state get a copy of its scores.
+    Within one exact evaluation (ctx._memo set) a state is scored once: a
+    call that did not read ctx.rng is kept, and later calls on the same state
+    get a copy of its scores.  So a scorer that adds a flag must read ctx.rng
+    in that call, or a kept call would drop the flag from later runs.
     """
-    memo = ctx.memo
+    memo = ctx._memo
     if memo is None:
         return _score_state(inst, psi, pending, cands, ctx, cap)
     key = (psi.pairs, tuple(pending), tuple(cands), cap)
     hit = memo.get(key)
     if hit is not None:
         return list(hit[0]), hit[1]
-    draws, flagged = ctx.draws, len(ctx.flags)
+    draws = ctx._draws
     scores, denom = _score_state(inst, psi, pending, cands, ctx, cap)
-    if ctx.draws == draws and len(ctx.flags) == flagged:
+    if ctx._draws == draws:
         memo[key] = (tuple(scores), denom)
     return scores, denom
 
