@@ -9,13 +9,14 @@ policies, through this protocol.
 
 Expectations are computed exactly by enumerating the prior support times the
 policy's seed space, capped at max_support, or by Monte Carlo sampling with a
-seeded generator.  Exact evaluation runs a policy once per distinct sequence
-of replies and serves the other support rows from the recorded actions.  So
+seeded generator.  Exact evaluation walks the policy tree: one run starts
+with every support row, at each QUERY the rows split by reply, and each part
+but the first restarts the policy on the replies recorded on its path.  So
 in exact mode a policy's actions must depend only on theta, ctx.rng and the
-replies; one that yields other actions when replayed on recorded replies
-raises PolicyBugError.  Within one exact evaluation each decision state is
-scored once; a scorer call that drew from ctx.rng is recomputed on every run,
-so sampled scores and their flags stay those of a plain run.
+replies; one that yields other actions when restarted raises PolicyBugError.
+Within one exact evaluation each decision state is scored once; a scorer
+call that drew from ctx.rng is recomputed on every run, so sampled scores
+and their flags stay those of a plain run.
 """
 from __future__ import annotations
 
@@ -54,9 +55,12 @@ def cap_value(name: str) -> int:
     env = os.environ.get("ADASUB_" + name.upper())
     if env is not None:
         try:
-            return int(env)
+            value = int(env)
         except ValueError as exc:
             raise MalformedInputError(f"ADASUB_{name.upper()}={env!r} is not an integer") from exc
+        if value < 1:
+            raise MalformedInputError(f"ADASUB_{name.upper()}={env!r} must be at least 1")
+        return value
     return CAP_DEFAULTS[name]
 
 
@@ -86,9 +90,9 @@ class PolicyContext:
     theta is the resolved seed-space value for randomized policies; rng is a
     lazily created deterministic generator for internal sampling fallbacks.
     flags collect notes (for example "sav-mc") that surface in reports.
-    Exact evaluation alone sets _memo, the scores of the decision states met
-    so far in that evaluation; _draws counts the reads of rng, so the scorer
-    can tell whether a call drew from it.
+    Exact evaluation and threshold calibration set _memo, the scores of the
+    decision states met so far in one call; _draws counts the reads of rng,
+    so the scorer can tell whether a call drew from it.
     """
 
     theta: Any = None
@@ -168,6 +172,29 @@ class _Run:
         return action
 
 
+def _reply(inst: Instance, phi: Realization, pending: list[int], observed: dict[int, int]):
+    """The reply to a QUERY of the pending batch under phi, as sorted items,
+    and the outcomes it reveals that were not observed before.  The reply
+    repeats the queried outcomes even when a reveal hook exposed them earlier;
+    a round is counted only if something genuinely new came back."""
+    reply, newly = {}, {}
+    for p in pending:
+        reply[p] = phi[p]
+        for e2, o2 in inst.observe(phi, p):
+            reply[e2] = o2
+            if e2 not in observed:
+                newly[e2] = o2
+    return tuple(sorted(reply.items())), newly
+
+
+def _check_select(name: str, inst: Instance, e: int, selected: list[int]) -> None:
+    """PolicyBugError unless e is an element of the ground set not yet selected."""
+    if not (0 <= e < inst.n):
+        raise PolicyBugError(f"{name} selected element {e} outside ground set")
+    if e in selected:
+        raise PolicyBugError(f"{name} selected element {e} twice")
+
+
 def _execute(
     policy: Policy,
     inst: Instance,
@@ -175,13 +202,10 @@ def _execute(
     theta: Any,
     rng_seed: int,
     collect_rounds: bool = False,
-    memo: dict | None = None,
 ) -> PolicyTrace:
     ctx = PolicyContext(theta=theta, seed=rng_seed)
-    ctx._memo = memo
     f = inst.utility
     selected: list[int] = []
-    sel_set: set[int] = set()
     observed: dict[int, int] = {}
     pending: list[int] = []
     rounds = 0
@@ -194,11 +218,7 @@ def _execute(
     for action in run:
         if isinstance(action, Select):
             e = action.element
-            if not (0 <= e < inst.n):
-                raise PolicyBugError(f"{policy.name} selected element {e} outside ground set")
-            if e in sel_set:
-                raise PolicyBugError(f"{policy.name} selected element {e} twice")
-            sel_set.add(e)
+            _check_select(policy.name, inst, e, selected)
             selected.append(e)
             pending.append(e)
             cost += inst.cost(e)
@@ -206,24 +226,14 @@ def _execute(
             gains.append(val - last_val)
             last_val = val
             continue
-        # The response repeats outcomes of the queried elements even when a
-        # reveal hook exposed them earlier; a round is counted only if
-        # something genuinely new came back.
-        newly: dict[int, int] = {}
-        reply: dict[int, int] = {}
-        for p in pending:
-            reply[p] = phi[p]
-            for e2, o2 in inst.observe(phi, p):
-                reply[e2] = o2
-                if e2 not in observed:
-                    newly[e2] = o2
+        reply, newly = _reply(inst, phi, pending, observed)
         pending.clear()
         if newly:
             rounds += 1
             observed.update(newly)
             if collect_rounds:
                 round_views.append(PartialRealization(observed))
-        run.reply = dict(sorted(reply.items()))
+        run.reply = dict(reply)
 
     return PolicyTrace(
         selected=tuple(selected),
@@ -402,77 +412,85 @@ def _checked_support(inst: Instance, branches: int):
     return inst.prior.support()
 
 
-@dataclass
-class _Node:
-    """A point of a recorded run: the Selects yielded up to the next Query,
-    then the nodes after that Query keyed by its reply, or the final
-    ctx.flags if the run ended here instead."""
-
-    selects: list[Select] = field(default_factory=list)
-    children: dict[tuple[tuple[int, int], ...], _Node] = field(default_factory=dict)
-    flags: tuple[str, ...] | None = None
-
-
-def _replayed(policy: Policy) -> Policy:
-    """`policy` served from a trie of the runs made through this copy.
-
-    A run walks the recorded replies and runs the policy only where they
-    leave the trie.  Then the policy restarts from the root on the run's own
-    fresh context and is fed the recorded replies, so its ctx.rng draws are
-    those of a plain run (scores that drew nothing come from the context's
-    memo); it must yield the recorded actions again, or the run raises
-    PolicyBugError.
+def _walk(policy: Policy, inst: Instance, rows: list, theta: Any, memo: dict):
+    """Leaves of the policy tree on coin theta over support rows (index, phi,
+    weight): each leaf's rows, with the selections, cost, rounds, observations
+    and ctx.flags they share.  A run starts with every row; at each QUERY its
+    rows split by reply (and by what it newly reveals), the first part goes on
+    and each other part waits with the selections made before each QUERY on
+    its path, one tuple shared by the parts of a split.  A waiting part
+    restarts the policy on a fresh context (so ctx.rng draws as in a plain
+    run; draw-free scores come from memo), fed its rows' replies, and raises
+    PolicyBugError if the policy yields other actions.
     """
-    top: dict[None, _Node] = {}  # the root, once a run has recorded it
-
-    def play(inst: Instance, ctx: PolicyContext):
-        walked = []  # (Selects, reply key) of each node passed
-        children, key = top, None
-        while key in children:
-            node = children[key]
-            yield from node.selects
-            if node.flags is not None:
-                ctx.flags.update(node.flags)
-                return
-            key = tuple((yield QUERY).items())
-            walked.append((node.selects, key))
-            children = node.children
-
+    stack = [(rows, ())]
+    while stack:
+        group, recorded = stack.pop()
+        ctx = PolicyContext(theta=theta, seed=EXACT_SEED)
+        ctx._memo = memo
+        selected, pending, observed, path = [], [], {}, ()
+        cost, rounds = 0.0, 0
         run = _Run(policy.play(inst, ctx), policy.name)
-        for selects, replied in walked:
-            for recorded in (*selects, QUERY):
-                if next(run, None) != recorded:
-                    raise PolicyBugError(
-                        f"{policy.name} changed its actions on replayed replies; exact "
-                        "evaluation needs actions that depend only on theta, ctx.rng and the replies"
-                    )
-            run.reply = dict(replied)
-        node = children.setdefault(key, _Node())
         for action in run:
-            if action is not QUERY:
-                node.selects.append(action)
-                yield action
+            if isinstance(action, Select):
+                _check_select(policy.name, inst, action.element, selected)
+                selected.append(action.element)
+                pending.append(action.element)
+                cost += inst.cost(action.element)
                 continue
-            run.reply = yield QUERY
-            node = node.children.setdefault(tuple(run.reply.items()), _Node())
-        node.flags = tuple(ctx.flags)
+            path += (tuple(pending),)
+            if len(path) > len(recorded):
+                parts: dict = {}
+                for row in group:
+                    reply, newly = _reply(inst, row[1], pending, observed)
+                    parts.setdefault((reply, tuple(newly)), []).append(row)
+                group, *rest = parts.values()
+                stack.extend((part, path) for part in rest)
+            elif path[-1] != recorded[len(path) - 1]:
+                break
+            reply, newly = _reply(inst, group[0][1], pending, observed)
+            pending.clear()
+            if newly:
+                rounds += 1
+                observed.update(newly)
+            run.reply = dict(reply)
+        if path[:len(recorded)] != recorded:
+            raise PolicyBugError(
+                f"{policy.name} changed its actions on replayed replies; exact "
+                "evaluation needs actions that depend only on theta, ctx.rng and the replies"
+            )
+        yield group, selected, cost, rounds, observed, ctx.flags
 
-    return Policy(name=policy.name, play=play, seed_space=policy.seed_space)
 
-
-def _exact_traces(policy: Policy, inst: Instance) -> Iterator[tuple[float, PolicyTrace]]:
-    """(weight, trace) over prior support x policy seed branches, at EXACT_SEED.
-
-    Each seed branch runs its own _replayed copy of the policy, so the policy
-    runs once per distinct reply sequence, not once per support row.  All
-    runs share one scorer memo, so a decision state met again on a restart
-    is not scored again.
-    """
-    branches = [(theta, pt, _replayed(policy)) for theta, pt in policy.seed_space if pt > 0]
+def _exact_traces(
+    policy: Policy, inst: Instance
+) -> Iterator[tuple[tuple[int, int], float, PolicyTrace]]:
+    """((support row, seed branch), weight, trace) over prior support x policy
+    seed branches at EXACT_SEED, streamed leaf by leaf of each branch's _walk.
+    Value and gains are computed once per outcome tuple on a leaf's selections.
+    All runs share one scorer memo, so a state met again on a restart is not
+    scored again."""
+    support = _checked_support(inst, len(policy.seed_space))
+    rows = [(j, phi, w) for j, (phi, w) in enumerate(support)]
+    empty = inst.utility(EMPTY)
     memo: dict = {}
-    for phi, w in _checked_support(inst, len(policy.seed_space)):
-        for theta, pt, replayed in branches:
-            yield w * pt, _execute(replayed, inst, phi, theta, rng_seed=EXACT_SEED, memo=memo)
+    branches = [(b, theta, pt) for b, (theta, pt) in enumerate(policy.seed_space) if pt > 0]
+    for b, theta, pt in branches:
+        for group, selected, cost, rounds, observed, flags in _walk(policy, inst, rows, theta, memo):
+            shared = dict(selected=tuple(selected), observed=PartialRealization(observed),
+                          cost=cost, rounds=rounds, flags=tuple(sorted(flags)))
+            traces: dict[tuple[int, ...], PolicyTrace] = {}
+            for j, phi, w in group:
+                outs = tuple(phi[e] for e in selected)
+                tr = traces.get(outs)
+                if tr is None:
+                    psis = [PartialRealization.project(phi, selected[:i])
+                            for i in range(len(selected) + 1)]
+                    vals = [empty] + [inst.utility(psi) for psi in psis[1:]]
+                    tr = traces[outs] = PolicyTrace(
+                        final_psi=psis[-1], value=vals[-1],
+                        gains=tuple(v - u for u, v in zip(vals, vals[1:])), **shared)
+                yield (j, b), w * pt, tr
 
 
 def evaluate_exact(policy: Policy, inst: Instance) -> EvalReport:
@@ -481,7 +499,7 @@ def evaluate_exact(policy: Policy, inst: Instance) -> EvalReport:
     c_terms: list[float] = []
     r_terms: list[float] = []
     flags: set[str] = set()
-    for w, tr in _exact_traces(policy, inst):
+    for _row, w, tr in _exact_traces(policy, inst):
         f_terms.append(w * tr.value)
         c_terms.append(w * tr.cost)
         r_terms.append(w * tr.rounds)

@@ -203,6 +203,7 @@ def _score_paths(inst: Instance, mode: str) -> list[tuple[float, list[float]]]:
     it has a single weight-1 path."""
     rows = _checked_support(inst, 1) if mode == "marginal" else [(None, 1.0)]
     paths = []
+    memo: dict = {}  # each decision state is scored once per call, as in exact evaluation
     for phi, w in rows:
         scores: list[float] = []
 
@@ -210,9 +211,10 @@ def _score_paths(inst: Instance, mode: str) -> list[tuple[float, list[float]]]:
             scores.append(score)
             return True
 
+        ctx = PolicyContext(seed=EXACT_SEED)
+        ctx._memo = memo
         run = _Run(_greedy(
-            inst, PolicyContext(seed=EXACT_SEED), inst.n,
-            every=1 if mode == "marginal" else inst.n, accept=record,
+            inst, ctx, inst.n, every=1 if mode == "marginal" else inst.n, accept=record,
         ), "threshold kernel")
         for action in run:
             if action is QUERY:
@@ -314,10 +316,10 @@ def _sav_and_denom(
     dead batches (no reachable item left uncovered) exactly, without branches,
     so there "sav-mc" means a sample entered a nonzero reference term or score.
 
-    Within one exact evaluation (ctx._memo set) a state is scored once: a
-    call that did not read ctx.rng is kept, and later calls on the same state
-    get a copy of its scores.  So a scorer that adds a flag must read ctx.rng
-    in that call, or a kept call would drop the flag from later runs.
+    Within one exact evaluation or calibration (ctx._memo set) a state is
+    scored once: a call that did not read ctx.rng is kept, and later calls
+    on the same state get a copy of its scores.  So a scorer that adds a flag
+    must read ctx.rng in that call, or a kept call would drop it from later runs.
     """
     memo = ctx._memo
     if memo is None:

@@ -220,7 +220,7 @@ def verify_eta(inst: Instance) -> BoundCheckResult:
 def _value_and_count(policy: Policy, inst: Instance) -> tuple[float, float]:
     """Exact f_avg and expected selection count of a policy, from one pass."""
     f_terms, k_terms = [], []
-    for w, tr in _exact_traces(policy, inst):
+    for _row, w, tr in _exact_traces(policy, inst):
         f_terms.append(w * tr.value)
         k_terms.append(w * len(tr.selected))
     return math.fsum(f_terms), math.fsum(k_terms)

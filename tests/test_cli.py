@@ -352,6 +352,16 @@ def test_zero_parameters_are_given_not_defaulted(workdir, capsys):
     assert "need at least one element" in capsys.readouterr().err
 
 
+def test_cap_below_one_is_malformed(workdir, capsys, monkeypatch):
+    assert run_cli("gen", "cover", "--n", "6", "--universe", "12", "--seed", "3",
+                   "--out", "c.json") == EXIT_OK
+    capsys.readouterr()
+    monkeypatch.setenv("ADASUB_BRANCH_CAP", "3")
+    monkeypatch.setenv("ADASUB_MC_FALLBACK", "0")
+    assert run_cli("run", "c.json", "semi:eps=0.2", "--k", "3") == EXIT_MALFORMED
+    assert capsys.readouterr().err == "adasub: error: ADASUB_MC_FALLBACK='0' must be at least 1\n"
+
+
 def test_spec_non_integral_r_is_malformed(bags3_file, capsys):
     assert run_cli("run", bags3_file, "batch:r=2.5", "--k", "3") == EXIT_MALFORMED
     assert capsys.readouterr().err == (

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from adasub.engine import (
+    CAP_DEFAULTS,
     EVAL_COLUMNS,
     EXACT_SEED,
     EvalReport,
@@ -22,6 +23,7 @@ from adasub.engine import (
     _exact_traces,
     argmax_pairs,
     c_avg_exact,
+    cap_value,
     concat,
     evaluate_exact,
     evaluate_mc,
@@ -234,7 +236,27 @@ def _plain_traces(policy, inst):
     ]
 
 
-@pytest.mark.parametrize(
+def _rows_in_order(policy, inst):
+    """The (weight, trace) rows of _exact_traces, in _plain_traces' order."""
+    rows = sorted(_exact_traces(policy, inst), key=lambda row: row[0])
+    return [(w, tr) for _key, w, tr in rows]
+
+
+def _plain_report(policy, inst):
+    """evaluate_exact's report, summed with fsum from one plain run per row."""
+    rows = _plain_traces(policy, inst)
+    return EvalReport(
+        policy=policy.name,
+        instance=inst.name,
+        mode="exact",
+        f_avg=math.fsum(w * tr.value for w, tr in rows),
+        c_avg=math.fsum(w * tr.cost for w, tr in rows),
+        expected_rounds=math.fsum(w * tr.rounds for w, tr in rows),
+        flags=tuple(sorted({flag for _w, tr in rows for flag in tr.flags})),
+    )
+
+
+exact_instances = pytest.mark.parametrize(
     "build",
     [
         lambda: build_stochastic_cover(6, 12, 2, seed=3),
@@ -244,13 +266,23 @@ def _plain_traces(policy, inst):
         lambda: build_truncation_pair()[1],
         lambda: build_random_tabular(4, 6, 0),
         lambda: build_random_tabular(4, 6, 1),
+        # A reveal hook that may expose nothing: rows that get one reply can
+        # still differ in whether the query counts as a round.
+        lambda: dataclasses.replace(
+            build_random_tabular(4, 6, 0),
+            reveal=lambda phi, e: [(e, phi[e])] if phi[(e + 1) % 4] else [],
+        ),
     ],
-    ids=["cover-m2", "cover-m3", "bags-k3", "trunc-f", "trunc-g", "tab-s0", "tab-s1"],
+    ids=["cover-m2", "cover-m3", "bags-k3", "trunc-f", "trunc-g", "tab-s0", "tab-s1",
+         "tab-s0-reveal"],
 )
+
+
+@exact_instances
 def test_exact_traces_equal_plain_rows(build):
     inst = build()
     for pol in _every_policy(inst, min(3, inst.n)):
-        assert list(_exact_traces(pol, inst)) == _plain_traces(pol, inst), pol.name
+        assert _rows_in_order(pol, inst) == _plain_traces(pol, inst), pol.name
 
 
 def test_exact_traces_equal_plain_rows_with_sampled_fallbacks(monkeypatch):
@@ -259,10 +291,26 @@ def test_exact_traces_equal_plain_rows_with_sampled_fallbacks(monkeypatch):
     inst = build_stochastic_cover(6, 12, 2, seed=3)
     flagged = 0
     for pol in _every_policy(inst, 3):
-        rows = list(_exact_traces(pol, inst))
+        rows = _rows_in_order(pol, inst)
         assert rows == _plain_traces(pol, inst), pol.name
         flagged += sum("sav-mc" in tr.flags for _w, tr in rows)
     assert flagged > 0
+
+
+@exact_instances
+def test_exact_report_equals_fsum_of_plain_rows(build):
+    inst = build()
+    for pol in _every_policy(inst, min(3, inst.n)):
+        assert evaluate_exact(pol, inst) == _plain_report(pol, inst), pol.name
+
+
+def test_exact_report_equals_fsum_of_plain_rows_with_sampled_fallbacks(monkeypatch):
+    monkeypatch.setenv("ADASUB_BRANCH_CAP", "3")
+    monkeypatch.setenv("ADASUB_MC_FALLBACK", "200")
+    inst = build_stochastic_cover(6, 12, 2, seed=3)
+    reports = [evaluate_exact(pol, inst) for pol in _every_policy(inst, 3)]
+    assert reports == [_plain_report(pol, inst) for pol in _every_policy(inst, 3)]
+    assert any("sav-mc" in rep.flags for rep in reports)
 
 
 def _reply_log(policy, log):
@@ -344,6 +392,35 @@ def test_exact_rejects_actions_not_driven_by_replies():
     ticking = Policy(name="ticking", play=play)
     with pytest.raises(PolicyBugError, match="^ticking changed its actions on replayed replies"):
         evaluate_exact(ticking, build_stochastic_cover(6, 12, 2, seed=3))
+
+
+def test_exact_rejects_a_restart_that_ends_early():
+    plays = itertools.count()
+    base = greedy_max(2)
+
+    def play(inst, ctx):
+        if next(plays) != 1:  # the second run returns at once
+            yield from base.play(inst, ctx)
+
+    quitting = Policy(name="quitting", play=play)
+    with pytest.raises(PolicyBugError, match="^quitting changed its actions on replayed replies"):
+        evaluate_exact(quitting, build_stochastic_cover(6, 12, 2, seed=3))
+
+
+@pytest.mark.parametrize("name", sorted(CAP_DEFAULTS))
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_caps_below_one_are_malformed(name, value, monkeypatch):
+    var = "ADASUB_" + name.upper()
+    monkeypatch.setenv(var, value)
+    with pytest.raises(MalformedInputError, match=f"{var}='{value}' must be at least 1"):
+        cap_value(name)
+
+
+def test_zero_mc_fallback_is_malformed_not_a_crash(monkeypatch):
+    monkeypatch.setenv("ADASUB_BRANCH_CAP", "3")
+    monkeypatch.setenv("ADASUB_MC_FALLBACK", "0")
+    with pytest.raises(MalformedInputError, match="ADASUB_MC_FALLBACK='0' must be at least 1"):
+        evaluate_exact(semi_adaptive_greedy_max(3, 0.2), build_stochastic_cover(6, 12, 2, seed=3))
 
 
 # --- Monte Carlo evaluation -------------------------------------------------------

@@ -1,4 +1,5 @@
 """Greedy, threshold, semi-adaptive, batched, and DP-optimal policies."""
+import collections
 import dataclasses
 import math
 
@@ -6,8 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from adasub import policies
 from adasub.engine import (
     EXACT_SEED,
+    PolicyContext,
     c_avg_exact,
     evaluate_exact,
     f_avg_exact,
@@ -119,6 +122,34 @@ def test_calibration_oracle(anti_inst):
     assert cal.alpha == 0.0 and cal.beta == 1.5
     assert math.isclose(cal.coin_p, 2.0 / 3.0)
     assert math.isclose(c_avg_exact(cal.policy(), anti_inst), 1.0, abs_tol=1e-9)
+
+
+class _NoMemoContext(PolicyContext):
+    """A PolicyContext that keeps no scorer memo, so every state is scored."""
+
+    _memo = property(lambda self: None, lambda self, memo: None)
+
+
+def test_calibration_scores_each_state_once(monkeypatch):
+    base = build_stochastic_cover(8, 16, 2, seed=0)
+    calls = collections.Counter()
+
+    def fast_sav(inst, psi, pending, cands, ctx, cap=None):
+        calls[psi.pairs, tuple(pending), tuple(cands), cap] += 1
+        return base.fast_sav(inst, psi, pending, cands, ctx, cap)
+
+    inst = dataclasses.replace(base, fast_sav=fast_sav)
+    cals = {}
+    for mode in ("marginal", "sav"):
+        calls.clear()
+        cals[mode] = calibrate_tau(inst, 2, mode)
+        assert calls and set(calls.values()) == {1}, mode
+        assert cals[mode] == calibrate_tau(base, 2, mode)
+    # Scoring every state of every row gives the same calibrations.
+    monkeypatch.setattr(policies, "PolicyContext", _NoMemoContext)
+    calls.clear()
+    assert {mode: calibrate_tau(inst, 2, mode) for mode in cals} == cals
+    assert sum(calls.values()) > len(calls)
 
 
 def test_calibration_extremes(anti_inst):
