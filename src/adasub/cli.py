@@ -196,8 +196,7 @@ def policy_from_spec(spec: str, inst: Instance, k: int | None = None) -> Policy:
     if head == "tau-cal":
         mode = opts.get("mode", "marginal")
         i = _opt(opts, "i", spec)
-        cal = calibrate_tau(inst, int(i) if i.is_integer() else i, mode)
-        return threshold_policy(cal.tau_i, cal.coin_p, mode)
+        return calibrate_tau(inst, int(i) if i.is_integer() else i, mode).policy(mode)
     if head == "semi":
         return semi_adaptive_greedy_max(
             _need_k(k, spec), _opt(opts, "eps", spec), opts.get("gap", "ig")

@@ -11,9 +11,11 @@ Expectations are computed exactly by enumerating the prior support times the
 policy's seed space, capped at max_support, or by Monte Carlo sampling with a
 seeded generator.  Exact evaluation walks the policy tree: one run starts
 with every support row, at each QUERY the rows split by reply, and each part
-but the first restarts the policy on the replies recorded on its path.  So
-in exact mode a policy's actions must depend only on theta, ctx.rng and the
-replies; one that yields other actions when restarted raises PolicyBugError.
+but the first restarts the policy on the replies recorded on its path.
+Threshold calibration walks the same tree, and every QUERY, in a walk or in
+a plain run, is answered by _reply.  So in exact mode a policy's actions must
+depend only on theta, ctx.rng and the replies; one that yields other actions
+when restarted raises PolicyBugError.
 Within one exact evaluation each decision state is scored once; a scorer
 call that drew from ctx.rng is recomputed on every run, so sampled scores
 and their flags stay those of a plain run.
@@ -401,15 +403,16 @@ class EvalReport:
         }
 
 
-def _checked_support(inst: Instance, branches: int):
-    """The prior support, once support size x `branches` is within max_support."""
+def _checked_support(inst: Instance, branches: int) -> list[tuple[int, Realization, float]]:
+    """The prior support as _walk rows (index, phi, weight), once support
+    size x `branches` is within max_support."""
     cap = cap_value("max_support")
     size = inst.prior.support_size() * branches
     if size > cap:
         raise TooLargeError(
             f"exact evaluation needs {size} traces (support x seed branches), cap {cap}"
         )
-    return inst.prior.support()
+    return [(j, phi, w) for j, (phi, w) in enumerate(inst.prior.support())]
 
 
 def _walk(policy: Policy, inst: Instance, rows: list, theta: Any, memo: dict):
@@ -421,7 +424,9 @@ def _walk(policy: Policy, inst: Instance, rows: list, theta: Any, memo: dict):
     its path, one tuple shared by the parts of a split.  A waiting part
     restarts the policy on a fresh context (so ctx.rng draws as in a plain
     run; draw-free scores come from memo), fed its rows' replies, and raises
-    PolicyBugError if the policy yields other actions.
+    PolicyBugError if the policy yields other actions.  Every QUERY is
+    answered by _reply, as in _execute; exact evaluation and threshold
+    calibration both walk through here.
     """
     stack = [(rows, ())]
     while stack:
@@ -470,8 +475,7 @@ def _exact_traces(
     Value and gains are computed once per outcome tuple on a leaf's selections.
     All runs share one scorer memo, so a state met again on a restart is not
     scored again."""
-    support = _checked_support(inst, len(policy.seed_space))
-    rows = [(j, phi, w) for j, (phi, w) in enumerate(support)]
+    rows = _checked_support(inst, len(policy.seed_space))
     empty = inst.utility(EMPTY)
     memo: dict = {}
     branches = [(b, theta, pt) for b, (theta, pt) in enumerate(policy.seed_space) if pt > 0]

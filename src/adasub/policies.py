@@ -7,7 +7,8 @@ Select/Query/Stop protocol.  Policies keep their own view of observations
 The greedy, coverage, threshold, semi-adaptive and fixed-batch policies are
 one generator, _greedy, run with different budgets, observe rules and accept
 rules, with or without the instance's coverage goal; it scores every decision
-state, gap tests included, through _sav_and_denom.  calibrate_tau replays it to read off score paths.
+state, gap tests included, through _sav_and_denom.  calibrate_tau walks it
+over the support with engine._walk to read off score paths.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from .engine import (
     PolicyContext,
     Select,
     _checked_support,
-    _Run,
+    _walk,
     argmax_pairs,
     cap_value,
     marginals_for,
@@ -199,32 +200,26 @@ def threshold_policy(tau: float, coin_p: float = 0.0, mode: str = "marginal") ->
 
 def _score_paths(inst: Instance, mode: str) -> list[tuple[float, list[float]]]:
     """(weight, best-score path) of the threshold kernel run to exhaustion,
-    one per realization; mode "sav" observes nothing before its last pick, so
-    it has a single weight-1 path."""
-    rows = _checked_support(inst, 1) if mode == "marginal" else [(None, 1.0)]
-    paths = []
-    memo: dict = {}  # each decision state is scored once per call, as in exact evaluation
-    for phi, w in rows:
+    one per support row, from the leaves of its engine._walk.  A leaf ends
+    the run started last, and every run starts at the root, so that run's
+    list holds the leaf's whole path.  Mode "sav" observes nothing before
+    its last pick, so it walks the first row alone, with weight 1, and
+    checks no support cap."""
+    runs: list[list[float]] = []
+
+    def play(inst: Instance, ctx: PolicyContext):
         scores: list[float] = []
+        runs.append(scores)
+        yield from _greedy(inst, ctx, inst.n, every=1 if mode == "marginal" else inst.n,
+                           accept=lambda score: scores.append(score) or True)
 
-        def record(score: float) -> bool:
-            scores.append(score)
-            return True
-
-        ctx = PolicyContext(seed=EXACT_SEED)
-        ctx._memo = memo
-        run = _Run(_greedy(
-            inst, ctx, inst.n, every=1 if mode == "marginal" else inst.n, accept=record,
-        ), "threshold kernel")
-        for action in run:
-            if action is QUERY:
-                # Mode "marginal" queries after every pick; the single query
-                # of mode "sav" comes after its last pick.
-                run.reply = dict(inst.observe(phi, last)) if phi is not None else {}
-            else:
-                last = action.element
-        paths.append((w, scores))
-    return paths
+    if mode == "marginal":
+        rows = _checked_support(inst, 1)
+    else:
+        rows = [(0, next(iter(inst.prior.support()))[0], 1.0)]
+    kernel = Policy(name="threshold kernel", play=play)
+    return [(w, runs[-1]) for group, *_ in _walk(kernel, inst, rows, None, {})
+            for _j, _phi, w in group]
 
 
 def _count_until_fail(scores: list[float], tau: float, inclusive: bool) -> int:

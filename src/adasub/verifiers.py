@@ -38,7 +38,6 @@ from .policies import (
     greedy_coverage,
     greedy_max,
     semi_adaptive_greedy_max,
-    threshold_policy,
 )
 
 VERIFY_COLUMNS = ("verifier", "instance", "lhs", "rhs", "slack", "satisfied", "witness")
@@ -244,7 +243,7 @@ def verify_lemma1(inst: Instance, pi_star: Policy, ell: int) -> BoundCheckResult
         cal = calibrate_tau(inst, ell)
     except InfeasibleError as exc:
         return _result("lemma1", inst, 0.0, 0.0, f"skipped: calibration infeasible: {exc}")
-    lhs = f_avg_exact(threshold_policy(cal.tau_i, cal.coin_p), inst)
+    lhs = f_avg_exact(cal.policy(), inst)
     rhs = (1.0 - math.exp(-ell / (ek + 1.0))) * f_star
     return _result("lemma1", inst, lhs, rhs, f"ell={ell} EK={ek!r} f_star={f_star!r}")
 
@@ -324,7 +323,7 @@ def verify_batch_lemma8(inst: Instance, pi_star: Policy, ell: int, eps: float) -
         cal = calibrate_tau(inst, ell, mode="sav")
     except InfeasibleError as exc:
         return _result("batch-lemma8", inst, 0.0, 0.0, f"skipped: calibration infeasible: {exc}")
-    lhs = f_avg_exact(threshold_policy(cal.tau_i, cal.coin_p, mode="sav"), inst)
+    lhs = f_avg_exact(cal.policy("sav"), inst)
     rhs = (1.0 - math.exp(-(1.0 - eps) * ell / (ek + 1.0))) * f_star
     return _result("batch-lemma8", inst, lhs, rhs, f"ell={ell} eps={eps!r} EK={ek!r}")
 

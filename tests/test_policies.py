@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from adasub import policies
+from adasub import engine, policies
 from adasub.engine import (
     EXACT_SEED,
     PolicyContext,
@@ -146,7 +146,7 @@ def test_calibration_scores_each_state_once(monkeypatch):
         assert calls and set(calls.values()) == {1}, mode
         assert cals[mode] == calibrate_tau(base, 2, mode)
     # Scoring every state of every row gives the same calibrations.
-    monkeypatch.setattr(policies, "PolicyContext", _NoMemoContext)
+    monkeypatch.setattr(engine, "PolicyContext", _NoMemoContext)
     calls.clear()
     assert {mode: calibrate_tau(inst, 2, mode) for mode in cals} == cals
     assert sum(calls.values()) > len(calls)
@@ -174,11 +174,18 @@ def test_calibration_sav_mode(anti_inst):
     assert math.isclose(c_avg_exact(cal.policy(mode="sav"), anti_inst), 1.0, abs_tol=1e-9)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2, "bags"])
+@pytest.mark.parametrize("seed", [0, 1, 2, "bags", "hidden"])
 @pytest.mark.parametrize("mode", ["marginal", "sav"])
 def test_calibration_exactness_random(seed, mode):
-    # bags-k3 is the one reveal-on-select instance
-    inst = build_bags(3) if seed == "bags" else build_random_tabular(3, 4, seed=seed)
+    # bags-k3 is the one reveal-on-select instance; "hidden" has a reveal
+    # hook that hides the queried element when its successor's outcome is 0
+    if seed == "bags":
+        inst = build_bags(3)
+    elif seed == "hidden":
+        inst = dataclasses.replace(build_random_tabular(3, 4, seed=0),
+                                   reveal=lambda phi, e: [(e, phi[e])] if phi[(e + 1) % 3] else [])
+    else:
+        inst = build_random_tabular(3, 4, seed=seed)
     for i in range(inst.n + 1):
         cal = calibrate_tau(inst, i, mode=mode)
         c = c_avg_exact(cal.policy(mode=mode), inst)
