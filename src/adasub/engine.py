@@ -85,9 +85,9 @@ STOP = _Singleton("Stop")
 Action = Any  # Select | QUERY | STOP
 
 
-@dataclass
+@dataclass(eq=False)
 class PolicyContext:
-    """Per-run context handed to a policy generator.
+    """Per-run context handed to a policy generator; it hashes by identity.
 
     theta is the resolved seed-space value for randomized policies; rng is a
     lazily created deterministic generator for internal sampling fallbacks.
@@ -417,16 +417,16 @@ def _checked_support(inst: Instance, branches: int) -> list[tuple[int, Realizati
 
 def _walk(policy: Policy, inst: Instance, rows: list, theta: Any, memo: dict):
     """Leaves of the policy tree on coin theta over support rows (index, phi,
-    weight): each leaf's rows, with the selections, cost, rounds, observations
-    and ctx.flags they share.  A run starts with every row; at each QUERY its
-    rows split by reply (and by what it newly reveals), the first part goes on
-    and each other part waits with the selections made before each QUERY on
-    its path, one tuple shared by the parts of a split.  A waiting part
-    restarts the policy on a fresh context (so ctx.rng draws as in a plain
-    run; draw-free scores come from memo), fed its rows' replies, and raises
-    PolicyBugError if the policy yields other actions.  Every QUERY is
-    answered by _reply, as in _execute; exact evaluation and threshold
-    calibration both walk through here.
+    weight): each leaf's rows, with the selections, cost, rounds and
+    observations they share and the context of the run that ended there.  A
+    run starts with every row; at each QUERY its rows split by reply (and by
+    what it newly reveals), the first part goes on and each other part waits
+    with the selections made before each QUERY on its path, one tuple shared
+    by the parts of a split.  A waiting part restarts the policy on a fresh
+    context (so ctx.rng draws as in a plain run; draw-free scores come from
+    memo), fed its rows' replies, and raises PolicyBugError if the policy
+    yields other actions.  Every QUERY is answered by _reply, as in _execute;
+    exact evaluation and threshold calibration both walk through here.
     """
     stack = [(rows, ())]
     while stack:
@@ -445,12 +445,13 @@ def _walk(policy: Policy, inst: Instance, rows: list, theta: Any, memo: dict):
                 continue
             path += (tuple(pending),)
             if len(path) > len(recorded):
-                parts: dict = {}
-                for row in group:
-                    reply, newly = _reply(inst, row[1], pending, observed)
-                    parts.setdefault((reply, tuple(newly)), []).append(row)
-                group, *rest = parts.values()
-                stack.extend((part, path) for part in rest)
+                if len(group) > 1:  # a single row has one reply, so it never splits
+                    parts: dict = {}
+                    for row in group:
+                        reply, newly = _reply(inst, row[1], pending, observed)
+                        parts.setdefault((reply, tuple(newly)), []).append(row)
+                    group, *rest = parts.values()
+                    stack.extend((part, path) for part in rest)
             elif path[-1] != recorded[len(path) - 1]:
                 break
             reply, newly = _reply(inst, group[0][1], pending, observed)
@@ -464,7 +465,7 @@ def _walk(policy: Policy, inst: Instance, rows: list, theta: Any, memo: dict):
                 f"{policy.name} changed its actions on replayed replies; exact "
                 "evaluation needs actions that depend only on theta, ctx.rng and the replies"
             )
-        yield group, selected, cost, rounds, observed, ctx.flags
+        yield group, selected, cost, rounds, observed, ctx
 
 
 def _exact_traces(
@@ -480,9 +481,9 @@ def _exact_traces(
     memo: dict = {}
     branches = [(b, theta, pt) for b, (theta, pt) in enumerate(policy.seed_space) if pt > 0]
     for b, theta, pt in branches:
-        for group, selected, cost, rounds, observed, flags in _walk(policy, inst, rows, theta, memo):
+        for group, selected, cost, rounds, observed, ctx in _walk(policy, inst, rows, theta, memo):
             shared = dict(selected=tuple(selected), observed=PartialRealization(observed),
-                          cost=cost, rounds=rounds, flags=tuple(sorted(flags)))
+                          cost=cost, rounds=rounds, flags=tuple(sorted(ctx.flags)))
             traces: dict[tuple[int, ...], PolicyTrace] = {}
             for j, phi, w in group:
                 outs = tuple(phi[e] for e in selected)

@@ -200,26 +200,27 @@ def threshold_policy(tau: float, coin_p: float = 0.0, mode: str = "marginal") ->
 
 def _score_paths(inst: Instance, mode: str) -> list[tuple[float, list[float]]]:
     """(weight, best-score path) of the threshold kernel run to exhaustion,
-    one per support row, from the leaves of its engine._walk.  A leaf ends
-    the run started last, and every run starts at the root, so that run's
-    list holds the leaf's whole path.  Mode "sav" observes nothing before
+    one per support row, from the leaves of its engine._walk.  Each run keeps
+    its scores under its own context, and every run starts at the root, so a
+    leaf's context names its whole path.  Mode "sav" observes nothing before
     its last pick, so it walks the first row alone, with weight 1, and
     checks no support cap."""
-    runs: list[list[float]] = []
+    runs: dict[PolicyContext, list[float]] = {}
 
     def play(inst: Instance, ctx: PolicyContext):
-        scores: list[float] = []
-        runs.append(scores)
-        yield from _greedy(inst, ctx, inst.n, every=1 if mode == "marginal" else inst.n,
-                           accept=lambda score: scores.append(score) or True)
+        scores = runs[ctx] = []
+        return _greedy(inst, ctx, inst.n, every=1 if mode == "marginal" else inst.n,
+                       accept=lambda score: scores.append(score) or True)
 
     if mode == "marginal":
         rows = _checked_support(inst, 1)
     else:
         rows = [(0, next(iter(inst.prior.support()))[0], 1.0)]
-    kernel = Policy(name="threshold kernel", play=play)
-    return [(w, runs[-1]) for group, *_ in _walk(kernel, inst, rows, None, {})
-            for _j, _phi, w in group]
+    paths = []
+    for group, *_, ctx in _walk(Policy(name="threshold kernel", play=play), inst, rows, None, {}):
+        scores = runs.pop(ctx)
+        paths.extend((w, scores) for _j, _phi, w in group)
+    return paths
 
 
 def _count_until_fail(scores: list[float], tau: float, inclusive: bool) -> int:

@@ -124,7 +124,7 @@ def test_support_cap_stops_count_and_calibration(anti_inst, monkeypatch):
         expected_selection_count(greedy_max(1), anti_inst)
     with pytest.raises(TooLargeError):
         calibrate_tau(anti_inst, 1)
-    calibrate_tau(anti_inst, 1, mode="sav")  # enumerates no support
+    calibrate_tau(anti_inst, 1, mode="sav")  # reads one support row, checks no cap
 
 
 # --- performance bounds ----------------------------------------------------------------
