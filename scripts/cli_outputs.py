@@ -12,8 +12,9 @@ written); `run` in exact, MC and JSON mode with every policy spec on bags-k3,
 a table, a cover and the truncation pair; every `verify` suite on a table and
 a cover, both corpora with and without size flags, and the instance-free
 suites; `experiment` serial and with `--jobs 2`; at least one case per exit
-code 1-4; non-integral or zero parameters, `--seeds 0`, and sweep `timing`
-values that are not a JSON boolean.  Timing is never turned on, so `wall_ms`
+code 1-4; non-integral or zero parameters, `--seeds 0`, sweep `timing`
+values that are not a JSON boolean, a negative `--seed` on `run` and `gen`,
+and `verify rounds --trials 0`.  Timing is never turned on, so `wall_ms`
 reads 0.0.  Runs in one process (`--jobs 2` starts two workers), in a
 temporary directory, in a few seconds on 2 CPUs.
 """
@@ -209,6 +210,12 @@ def main_cases() -> None:
         ("timing-str", {"timing": "false"}),
     ):
         experiment(f"{name}.json", [{**base, **extra}])
+
+    # negative seeds and zero trials
+    run("run", "bags-k3.json", "greedy", "--k", "2", "--mode", "mc", "--seed", "-1")
+    run("gen", "bags", "--k", "2", "--seed", "-1")
+    run("gen", "cover", "--n", "3", "--universe", "4", "--seed", "-2")
+    run("verify", "rounds", "--trials", "0", "--sizes", "8")
 
 
 if __name__ == "__main__":

@@ -116,10 +116,16 @@ def _param(p: dict[str, Any], key: str, default: Any = None, kind: type = int,
            where: str = "") -> Any:
     """Parameter `key` of a policy spec, the flags or a sweep entry, read as `kind`.
 
-    A missing value (None) gives `default`, so 0 counts as given.
+    A missing value (None) gives `default`, so 0 counts as given.  A seed
+    must not be negative.
     """
     v = p.get(key)
-    return default if v is None else _number(v, kind, f"{where}{key}")
+    if v is None:
+        return default
+    x = _number(v, kind, f"{where}{key}")
+    if key == "seed" and x < 0:
+        raise MalformedInputError(f"seed must be >= 0, got {x}")
+    return x
 
 
 def _number(v: Any, kind: type, what: str) -> int | float:

@@ -4,18 +4,19 @@ A policy is an interactive procedure written as a generator function.  It
 yields Select(e) and QUERY actions; each QUERY is answered with the dict of
 outcomes it revealed, each Select with None.  A run ends when the generator
 returns or yields STOP, and any other action is a PolicyBugError, inside
-combinators too.  _Run drives every policy, and every combinator's inner
-policies, through this protocol.
+combinators too.  _Run checks the actions of every policy, and of every
+combinator's inner policies.
 
-Expectations are computed exactly by enumerating the prior support times the
-policy's seed space, capped at max_support, or by Monte Carlo sampling with a
-seeded generator.  Exact evaluation walks the policy tree: one run starts
-with every support row, at each QUERY the rows split by reply, and each part
-but the first restarts the policy on the replies recorded on its path.
-Threshold calibration walks the same tree, and every QUERY, in a walk or in
-a plain run, is answered by _reply.  So in exact mode a policy's actions must
-depend only on theta, ctx.rng and the replies; one that yields other actions
-when restarted raises PolicyBugError.
+One driver, _walk, runs every policy.  It walks the policy tree: one run
+starts with a list of realization rows, at each QUERY the rows split by
+reply, and each part but the first restarts the policy on the replies
+recorded on its path.  A plain run (run_policy, evaluate_mc, the Monte Carlo
+verifiers) is the walk over one row, on the caller's seed and with no scorer
+memo; one row never splits or restarts.  Exact evaluation and threshold
+calibration walk the prior support (times the seed space, capped at
+max_support) at a fixed seed.  Every QUERY is answered by _reply.  So in
+exact mode a policy's actions must depend only on theta, ctx.rng and the
+replies; one that yields other actions when restarted raises PolicyBugError.
 Within one exact evaluation each decision state is scored once; a scorer
 call that drew from ctx.rng is recomputed on every run, so sampled scores
 and their flags stay those of a plain run.
@@ -189,14 +190,6 @@ def _reply(inst: Instance, phi: Realization, pending: list[int], observed: dict[
     return tuple(sorted(reply.items())), newly
 
 
-def _check_select(name: str, inst: Instance, e: int, selected: list[int]) -> None:
-    """PolicyBugError unless e is an element of the ground set not yet selected."""
-    if not (0 <= e < inst.n):
-        raise PolicyBugError(f"{name} selected element {e} outside ground set")
-    if e in selected:
-        raise PolicyBugError(f"{name} selected element {e} twice")
-
-
 def _execute(
     policy: Policy,
     inst: Instance,
@@ -205,49 +198,10 @@ def _execute(
     rng_seed: int,
     collect_rounds: bool = False,
 ) -> PolicyTrace:
-    ctx = PolicyContext(theta=theta, seed=rng_seed)
-    f = inst.utility
-    selected: list[int] = []
-    observed: dict[int, int] = {}
-    pending: list[int] = []
-    rounds = 0
-    gains: list[float] = []
-    cost = 0.0
-    last_val = f(EMPTY)
-    round_views: list[PartialRealization] = [] if collect_rounds else None  # type: ignore
-
-    run = _Run(policy.play(inst, ctx), policy.name)
-    for action in run:
-        if isinstance(action, Select):
-            e = action.element
-            _check_select(policy.name, inst, e, selected)
-            selected.append(e)
-            pending.append(e)
-            cost += inst.cost(e)
-            val = f(PartialRealization.project(phi, selected))
-            gains.append(val - last_val)
-            last_val = val
-            continue
-        reply, newly = _reply(inst, phi, pending, observed)
-        pending.clear()
-        if newly:
-            rounds += 1
-            observed.update(newly)
-            if collect_rounds:
-                round_views.append(PartialRealization(observed))
-        run.reply = dict(reply)
-
-    return PolicyTrace(
-        selected=tuple(selected),
-        final_psi=PartialRealization.project(phi, selected),
-        observed=PartialRealization(observed),
-        value=last_val,
-        cost=cost,
-        rounds=rounds,
-        gains=tuple(gains),
-        flags=tuple(sorted(ctx.flags)),
-        round_views=tuple(round_views) if collect_rounds else None,
-    )
+    """One plain run against phi: the _walk over the single row phi, on the
+    caller's seed and with no memo.  A single row never splits or restarts."""
+    (leaf,) = _walk(policy, inst, [(0, phi, 1.0)], theta, None, rng_seed)
+    return _trace(inst, phi, leaf, inst.utility(EMPTY), collect_rounds)
 
 
 EXACT_SEED = 0x5EED  # fixed internal seed so exact mode stays deterministic
@@ -415,33 +369,41 @@ def _checked_support(inst: Instance, branches: int) -> list[tuple[int, Realizati
     return [(j, phi, w) for j, (phi, w) in enumerate(inst.prior.support())]
 
 
-def _walk(policy: Policy, inst: Instance, rows: list, theta: Any, memo: dict):
-    """Leaves of the policy tree on coin theta over support rows (index, phi,
-    weight): each leaf's rows, with the selections, cost, rounds and
-    observations they share and the context of the run that ended there.  A
-    run starts with every row; at each QUERY its rows split by reply (and by
-    what it newly reveals), the first part goes on and each other part waits
-    with the selections made before each QUERY on its path, one tuple shared
-    by the parts of a split.  A waiting part restarts the policy on a fresh
-    context (so ctx.rng draws as in a plain run; draw-free scores come from
-    memo), fed its rows' replies, and raises PolicyBugError if the policy
-    yields other actions.  Every QUERY is answered by _reply, as in _execute;
-    exact evaluation and threshold calibration both walk through here.
+def _walk(policy: Policy, inst: Instance, rows: list, theta: Any, memo: dict | None,
+          seed: int = EXACT_SEED):
+    """Leaves of the policy tree on coin theta over rows (index, phi, weight):
+    each leaf's rows, with the selections, cost, round marks and observations
+    they share and the context of the run that ended there.  This one loop
+    drives every policy: a plain run is the walk over one row on the caller's
+    seed with no memo; exact evaluation and threshold calibration walk the
+    support.  A run starts with every row; at each QUERY its rows split by
+    reply (and by what it newly reveals), the first part goes on and each
+    other part waits with the selections made before each QUERY on its path,
+    one tuple shared by the parts of a split.  A waiting part restarts the
+    policy on a fresh context (so ctx.rng draws as in a plain run; draw-free
+    scores come from memo), fed its rows' replies, and raises PolicyBugError
+    if the policy yields other actions.  A round is a QUERY that revealed
+    something new, marked by len(observed) after it, so the observations up
+    to each round are a prefix of the insertion-ordered observed.
     """
     stack = [(rows, ())]
     while stack:
         group, recorded = stack.pop()
-        ctx = PolicyContext(theta=theta, seed=EXACT_SEED)
+        ctx = PolicyContext(theta=theta, seed=seed)
         ctx._memo = memo
-        selected, pending, observed, path = [], [], {}, ()
-        cost, rounds = 0.0, 0
+        selected, pending, observed, path, marks = [], [], {}, (), []
+        cost = 0.0
         run = _Run(policy.play(inst, ctx), policy.name)
         for action in run:
             if isinstance(action, Select):
-                _check_select(policy.name, inst, action.element, selected)
-                selected.append(action.element)
-                pending.append(action.element)
-                cost += inst.cost(action.element)
+                e = action.element
+                if not (0 <= e < inst.n):
+                    raise PolicyBugError(f"{policy.name} selected element {e} outside ground set")
+                if e in selected:
+                    raise PolicyBugError(f"{policy.name} selected element {e} twice")
+                selected.append(e)
+                pending.append(e)
+                cost += inst.cost(e)
                 continue
             path += (tuple(pending),)
             if len(path) > len(recorded):
@@ -457,15 +419,41 @@ def _walk(policy: Policy, inst: Instance, rows: list, theta: Any, memo: dict):
             reply, newly = _reply(inst, group[0][1], pending, observed)
             pending.clear()
             if newly:
-                rounds += 1
                 observed.update(newly)
+                marks.append(len(observed))
             run.reply = dict(reply)
         if path[:len(recorded)] != recorded:
             raise PolicyBugError(
                 f"{policy.name} changed its actions on replayed replies; exact "
                 "evaluation needs actions that depend only on theta, ctx.rng and the replies"
             )
-        yield group, selected, cost, rounds, observed, ctx
+        yield group, selected, cost, marks, observed, ctx
+
+
+def _trace(inst: Instance, phi: Realization, leaf: tuple, empty: float,
+           collect_rounds: bool = False) -> PolicyTrace:
+    """The trace of a _walk leaf against its row phi; value and gains come
+    from the utility of each selection prefix, `empty` being f of none."""
+    _group, selected, cost, marks, observed, ctx = leaf
+    psi, vals = EMPTY, [empty]
+    for e in selected:
+        psi = psi.extend(e, phi[e])
+        vals.append(inst.utility(psi))
+    views = None
+    if collect_rounds:
+        items = list(observed.items())
+        views = tuple(PartialRealization(items[:m]) for m in marks)
+    return PolicyTrace(
+        selected=tuple(selected),
+        final_psi=psi,
+        observed=PartialRealization(observed),
+        value=vals[-1],
+        cost=cost,
+        rounds=len(marks),
+        gains=tuple(v - u for u, v in zip(vals, vals[1:])),
+        flags=tuple(sorted(ctx.flags)),
+        round_views=views,
+    )
 
 
 def _exact_traces(
@@ -473,28 +461,22 @@ def _exact_traces(
 ) -> Iterator[tuple[tuple[int, int], float, PolicyTrace]]:
     """((support row, seed branch), weight, trace) over prior support x policy
     seed branches at EXACT_SEED, streamed leaf by leaf of each branch's _walk.
-    Value and gains are computed once per outcome tuple on a leaf's selections.
-    All runs share one scorer memo, so a state met again on a restart is not
+    A leaf's rows share one trace per outcome tuple on its selections.  All
+    runs share one scorer memo, so a state met again on a restart is not
     scored again."""
     rows = _checked_support(inst, len(policy.seed_space))
     empty = inst.utility(EMPTY)
     memo: dict = {}
     branches = [(b, theta, pt) for b, (theta, pt) in enumerate(policy.seed_space) if pt > 0]
     for b, theta, pt in branches:
-        for group, selected, cost, rounds, observed, ctx in _walk(policy, inst, rows, theta, memo):
-            shared = dict(selected=tuple(selected), observed=PartialRealization(observed),
-                          cost=cost, rounds=rounds, flags=tuple(sorted(ctx.flags)))
+        for leaf in _walk(policy, inst, rows, theta, memo):
+            group, selected, *_ = leaf
             traces: dict[tuple[int, ...], PolicyTrace] = {}
             for j, phi, w in group:
                 outs = tuple(phi[e] for e in selected)
                 tr = traces.get(outs)
                 if tr is None:
-                    psis = [PartialRealization.project(phi, selected[:i])
-                            for i in range(len(selected) + 1)]
-                    vals = [empty] + [inst.utility(psi) for psi in psis[1:]]
-                    tr = traces[outs] = PolicyTrace(
-                        final_psi=psis[-1], value=vals[-1],
-                        gains=tuple(v - u for u, v in zip(vals, vals[1:])), **shared)
+                    tr = traces[outs] = _trace(inst, phi, leaf, empty)
                 yield (j, b), w * pt, tr
 
 

@@ -427,6 +427,8 @@ def verify_round_complexity(
         k_for = lambda n: max(2, math.ceil(n / 4))
     if not instances:
         raise MalformedInputError("need at least one instance")
+    if trials < 1:
+        raise MalformedInputError("trials must be >= 1")
     rows: list[BoundCheckResult] = []
     ratios: list[float] = []
     rng = np.random.default_rng(seed)

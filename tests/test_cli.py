@@ -390,6 +390,23 @@ def test_sweep_integral_k_in_any_form(bags3_file, workdir, capsys):
     assert ",greedy(k=2),bags-k3," in outs[0]
 
 
+@pytest.mark.parametrize("argv", [
+    ("run", "BAGS", "greedy", "--k", "2", "--mode", "mc", "--seed", "-1"),
+    ("verify", "--seed", "-1", "hardness", "--k", "3", "--r", "2", "--trials", "5"),
+    ("verify", "--corpus", "random", "--seed", "-1", "decay"),
+    ("gen", "cover", "--n", "3", "--universe", "4", "--seed", "-2"),
+    ("gen", "bags", "--k", "2", "--seed", "-1"),
+    ("experiment", "SWEEP"),
+])
+def test_negative_seed_is_malformed(argv, bags3_file, workdir, capsys):
+    sweep = {"id": "s", "command": "run", "instance": {"file": bags3_file},
+             "policy": "greedy", "k": 2, "mode": "mc", "seed": -1, "samples": 20}
+    subs = {"BAGS": bags3_file, "SWEEP": _write_config(workdir, [sweep])}
+    assert run_cli(*(subs.get(a, a) for a in argv)) == EXIT_MALFORMED
+    seed = argv[argv.index("--seed") + 1] if "--seed" in argv else "-1"
+    assert capsys.readouterr().err == f"adasub: error: seed must be >= 0, got {seed}\n"
+
+
 def test_tau_cal_fractional_target(workdir, capsys):
     run_cli("gen", "tabular", "--n", "3", "--m", "4", "--out", "tab.json")
     capsys.readouterr()

@@ -160,6 +160,18 @@ def test_collect_rounds_views(anti_inst):
     assert tr.round_views is not None and len(tr.round_views) == 2
     assert tr.round_views[0].domain == frozenset({0})
     assert tr.round_views[1].domain == frozenset({0, 1})
+    # bags: a query also reveals the bag-mates, so a round sees more than it queried
+    bags = build_bags(3)
+    phi = next(iter(bags.prior.support()))[0]
+    tr = run_policy(greedy_max(3), bags, phi, collect_rounds=True)
+    views = tr.round_views
+    assert len(views) == tr.rounds == len(tr.selected) == 3
+    assert len(tr.observed) > len(tr.selected)
+    for t, view in enumerate(views):
+        assert set(tr.selected[:t + 1]) <= view.domain
+        if t:
+            assert set(views[t - 1].pairs) < set(view.pairs)
+    assert views[-1] == tr.observed
 
 
 # --- exact evaluation ----------------------------------------------------------

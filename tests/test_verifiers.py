@@ -273,6 +273,8 @@ def test_round_complexity_guards():
     inst = build_stochastic_cover(4, 6, 2, seed=0)
     with pytest.raises(MalformedInputError):
         verify_round_complexity([inst], eps=0.1, k_for=lambda n: 1)
+    with pytest.raises(MalformedInputError):
+        verify_round_complexity([inst], eps=0.1, trials=0)
 
 
 def test_round_complexity_rows():
