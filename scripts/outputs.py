@@ -18,10 +18,11 @@ truncate and limit_rounds, every verifier on small inputs, a policy that
 yields an unknown action, bare and inside each combinator, and the exact
 report of a policy whose picks follow a counter kept across runs instead of
 its replies.  Bags-k4 and bags-k5 add batch scores, sav-mode calibrations and
-(bags-k4) MC reports, none of which enumerates the support.  Two cap cases: DP
-values under a lowered state cap, fresh and after another budget on the same
-instance, and, under a lowered support cap, an exact bags report and the bags
-submodularity check.  Coverage optima and exact opt-cov-dp reports under a
+(bags-k4) MC reports, none of which enumerates the support.  Three cap cases:
+DP values under a lowered state cap, fresh and after another budget on the
+same instance; the submodularity and monotonicity checks under a state cap
+that the marginal cache outgrows; and, under a lowered support cap, an exact
+bags report and the bags submodularity check.  Coverage optima and exact opt-cov-dp reports under a
 non-unit cost vector on the instance, for three quotas up to the best
 full-observation value on covers, bags-k3, the truncation pair and four
 tabular instances.  Takes about a minute on 2 CPUs.
@@ -293,6 +294,12 @@ def main() -> None:
         inst = build_random_tabular(5, 12, 3)
         for k in (2, 3):
             attempt(("opt-cap", inst.name, "after-2", k), optimal_value, inst, k)
+    with env(max_states=200):
+        # 181 reachable states and 352 (state, element) marginals: the
+        # marginal cache clears while the certificates read it.
+        inst = build_random_tabular(5, 12, 3)
+        attempt(("state-cap", inst.name, "submodular"), check_adaptive_submodular, inst)
+        attempt(("state-cap", inst.name, "monotone"), check_adaptive_monotone, inst)
     with env(max_support=50):
         attempt(("support-cap", bags.name, None), evaluate_exact, greedy_max(1), bags)
         attempt(("support-cap", bags.name, "submodular"), check_adaptive_submodular, bags)

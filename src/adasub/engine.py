@@ -26,7 +26,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator, Sequence
 from weakref import WeakKeyDictionary
@@ -35,6 +34,7 @@ import numpy as np
 
 from .errors import PolicyBugError, TooLargeError, MalformedInputError
 from .model import (
+    CAP_DEFAULTS,  # noqa: F401 -- kept importable as engine.CAP_DEFAULTS
     EMPTY,
     AlreadyObservedError,
     Instance,
@@ -42,29 +42,8 @@ from .model import (
     Prior,
     Realization,
     UtilityFunction,
+    cap_value,
 )
-
-# Enumeration caps; each can be overridden by the matching ADASUB_* env var.
-# Documented in the CLI help and README.
-CAP_DEFAULTS = {
-    "max_support": 10**6,   # prior support size x policy seed branches
-    "max_states": 10**5,    # memoized DP states; marginal cache entries per instance
-    "branch_cap": 10**4,    # exact joint pending-outcome branches
-    "mc_fallback": 10**4,   # samples used when the branch cap is exceeded
-}
-
-
-def cap_value(name: str) -> int:
-    env = os.environ.get("ADASUB_" + name.upper())
-    if env is not None:
-        try:
-            value = int(env)
-        except ValueError as exc:
-            raise MalformedInputError(f"ADASUB_{name.upper()}={env!r} is not an integer") from exc
-        if value < 1:
-            raise MalformedInputError(f"ADASUB_{name.upper()}={env!r} must be at least 1")
-        return value
-    return CAP_DEFAULTS[name]
 
 
 @dataclass(frozen=True)
@@ -176,10 +155,10 @@ class _Run:
 
 
 def _reply(inst: Instance, phi: Realization, pending: list[int], observed: dict[int, int]):
-    """The reply to a QUERY of the pending batch under phi, as sorted items,
-    and the outcomes it reveals that were not observed before.  The reply
-    repeats the queried outcomes even when a reveal hook exposed them earlier;
-    a round is counted only if something genuinely new came back."""
+    """The reply to a QUERY of the pending batch under phi (sorted items), and
+    the items it reveals that were not observed before.  The reply repeats the
+    queried outcomes even when a reveal hook exposed them earlier; a round is
+    counted only if something genuinely new came back."""
     reply, newly = {}, {}
     for p in pending:
         reply[p] = phi[p]
@@ -187,7 +166,7 @@ def _reply(inst: Instance, phi: Realization, pending: list[int], observed: dict[
             reply[e2] = o2
             if e2 not in observed:
                 newly[e2] = o2
-    return tuple(sorted(reply.items())), newly
+    return tuple(sorted(reply.items())), tuple(newly.items())
 
 
 def _execute(
@@ -259,8 +238,8 @@ def marginals_for(
     cands: list[int],
     cap: float | None = None,
 ) -> list[float]:
-    """Marginal of every candidate; observed candidates score 0.  Values are
-    cached per instance, and the cache is cleared when it holds max_states.
+    """Marginal of every candidate; observed candidates score 0.  The
+    instance's fast_marginals hook answers first, else _cached_marginals.
 
     With cap=Q the utility is replaced by min(f, Q), so gains past the quota
     do not count.  Coverage policies score with the cap; budget policies
@@ -268,6 +247,14 @@ def marginals_for(
     """
     if inst.fast_marginals is not None:
         return inst.fast_marginals(inst, psi, cands, cap)
+    return _cached_marginals(inst, psi, cands, cap)
+
+
+def _cached_marginals(inst: Instance, psi: PartialRealization, cands: list[int],
+                      cap: float | None = None) -> list[float]:
+    """marginals_for by the definition, hooks bypassed: the only cached read
+    of marginal.  Values are cached per instance, the cache is cleared when
+    it holds max_states, and f(psi) and the cap are read at most once per call."""
     cache = _MARGINAL_CACHE.setdefault(inst, {})
     key_base = psi.pairs
     out = []
@@ -280,8 +267,8 @@ def marginals_for(
         v = cache.get(key)
         if v is None:
             if base is None:
-                base = inst.utility(psi)
-            if len(cache) >= cap_value("max_states"):
+                base, limit = inst.utility(psi), cap_value("max_states")
+            if len(cache) >= limit:
                 cache.clear()
             v = cache[key] = marginal(inst.utility, inst.prior, psi, e, cap, base)
         out.append(v)
@@ -407,16 +394,15 @@ def _walk(policy: Policy, inst: Instance, rows: list, theta: Any, memo: dict | N
                 continue
             path += (tuple(pending),)
             if len(path) > len(recorded):
-                if len(group) > 1:  # a single row has one reply, so it never splits
-                    parts: dict = {}
-                    for row in group:
-                        reply, newly = _reply(inst, row[1], pending, observed)
-                        parts.setdefault((reply, tuple(newly)), []).append(row)
-                    group, *rest = parts.values()
-                    stack.extend((part, path) for part in rest)
+                parts: dict = {}
+                for row in group:
+                    parts.setdefault(_reply(inst, row[1], pending, observed), []).append(row)
+                ((reply, newly), group), *rest = parts.items()
+                stack.extend((part, path) for _key, part in rest)
             elif path[-1] != recorded[len(path) - 1]:
                 break
-            reply, newly = _reply(inst, group[0][1], pending, observed)
+            else:
+                reply, newly = _reply(inst, group[0][1], pending, observed)
             pending.clear()
             if newly:
                 observed.update(newly)

@@ -13,7 +13,6 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from .engine import cap_value
 from .errors import (
     InconsistentObservationError,
     MalformedInputError,
@@ -29,6 +28,7 @@ from .model import (
     Realization,
     TablePrior,
     UtilityFunction,
+    cap_value,
 )
 
 # --- utility families --------------------------------------------------------

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Sequence
@@ -19,6 +20,29 @@ from .errors import (
     MalformedInputError,
     TooLargeError,
 )
+
+# Enumeration caps; each can be overridden by the matching ADASUB_* env var.
+# Documented in the CLI help and README.
+CAP_DEFAULTS = {
+    "max_support": 10**6,   # prior support size x policy seed branches
+    "max_states": 10**5,    # memoized DP states; marginal cache entries per instance
+    "branch_cap": 10**4,    # exact joint pending-outcome branches
+    "mc_fallback": 10**4,   # samples used when the branch cap is exceeded
+}
+
+
+def cap_value(name: str) -> int:
+    env = os.environ.get("ADASUB_" + name.upper())
+    if env is not None:
+        try:
+            value = int(env)
+        except ValueError as exc:
+            raise MalformedInputError(f"ADASUB_{name.upper()}={env!r} is not an integer") from exc
+        if value < 1:
+            raise MalformedInputError(f"ADASUB_{name.upper()}={env!r} must be at least 1")
+        return value
+    return CAP_DEFAULTS[name]
+
 
 Element = int
 Outcome = int
@@ -403,8 +427,9 @@ class ProductPrior(Prior):
         return p
 
 
-def expand_product(prior: ProductPrior, cap: int = 10**6) -> TablePrior:
-    """Materialize a product prior as an explicit table (error past `cap` rows)."""
+def expand_product(prior: ProductPrior) -> TablePrior:
+    """Materialize a product prior as an explicit table (error past max_support rows)."""
+    cap = cap_value("max_support")
     size = prior.support_size()
     if size > cap:
         raise TooLargeError(f"product support has {size} realizations, cap {cap}")

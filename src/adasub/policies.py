@@ -4,11 +4,12 @@ Every constructor returns an engine.Policy whose play() generator follows the
 Select/Query/Stop protocol.  Policies keep their own view of observations
 (accumulated Query responses); the runner owns the global trace.
 
-The greedy, coverage, threshold, semi-adaptive and fixed-batch policies are
-one generator, _greedy, run with different budgets, observe rules and accept
-rules, with or without the instance's coverage goal; it scores every decision
-state, gap tests included, through _sav_and_denom.  calibrate_tau walks it
-over the support with engine._walk to read off score paths.
+The greedy, coverage, threshold, semi-adaptive and fixed-batch constructors
+are bare configurations of one generator: their play returns _greedy with a
+budget, observe and accept rules, with or without the instance's coverage
+goal.  It scores every decision state, gap tests included, through
+_sav_and_denom.  calibrate_tau walks it over the support with engine._walk
+to read off score paths.
 """
 from __future__ import annotations
 
@@ -76,9 +77,10 @@ def _greedy(
     """The greedy loop behind every marginal-driven policy.
 
     Each step picks the unselected element with the best score, ties to the
-    smallest id, until `budget` elements are selected.  Every decision scores
-    expected marginals after the pending batch resolves through
-    _sav_and_denom; with nothing pending that is the sequential greedy score.
+    smallest id, until `budget` (at most n) elements are selected.  Every
+    decision scores expected marginals after the pending batch resolves
+    through _sav_and_denom; with nothing pending that is the sequential greedy
+    score.
 
     Observation happens after every `every` picks (policies that observe only
     at the end pass their budget) and, with eps given, whenever the gap ratio
@@ -90,6 +92,8 @@ def _greedy(
     accept sees each best score before its pick; False observes the batch and
     ends the run.
     """
+    if budget > inst.n:
+        raise MalformedInputError(f"budget {budget} exceeds ground set size {inst.n}")
     cap = _goal(inst).quota if cover else None
     view: dict[int, int] = {}
     selected: set[int] = set()
@@ -136,13 +140,7 @@ def greedy_max(k: int) -> Policy:
     """Fully adaptive greedy: k rounds of select-best-marginal then observe."""
     if k < 0:
         raise MalformedInputError("budget must be >= 0")
-
-    def play(inst: Instance, ctx: PolicyContext):
-        if k > inst.n:
-            raise MalformedInputError(f"budget {k} exceeds ground set size {inst.n}")
-        yield from _greedy(inst, ctx, k, every=1)
-
-    return Policy(name=f"greedy(k={k})", play=play)
+    return Policy(name=f"greedy(k={k})", play=lambda inst, ctx: _greedy(inst, ctx, k, every=1))
 
 
 def greedy_coverage() -> Policy:
@@ -152,11 +150,8 @@ def greedy_coverage() -> Policy:
     rule optimizes exactly the remaining coverage headroom.  The coverage goal
     is the instance's own.
     """
-
-    def play(inst: Instance, ctx: PolicyContext):
-        yield from _greedy(inst, ctx, inst.n, every=1, cover=True)
-
-    return Policy(name="greedy-cov", play=play)
+    return Policy(name="greedy-cov",
+                  play=lambda inst, ctx: _greedy(inst, ctx, inst.n, every=1, cover=True))
 
 
 # --- threshold policies and their calibration -------------------------------
@@ -187,10 +182,8 @@ def threshold_policy(tau: float, coin_p: float = 0.0, mode: str = "marginal") ->
 
     def play(inst: Instance, ctx: PolicyContext):
         inclusive = bool(ctx.theta)
-        yield from _greedy(
-            inst, ctx, inst.n, every=1 if mode == "marginal" else inst.n,
-            accept=lambda score: _passes(score, tau, inclusive),
-        )
+        return _greedy(inst, ctx, inst.n, every=1 if mode == "marginal" else inst.n,
+                       accept=lambda score: _passes(score, tau, inclusive))
 
     name = f"threshold(tau={tau:.12g},p={coin_p:.12g}"
     name += ")" if mode == "marginal" else ",sav)"
@@ -490,13 +483,8 @@ def semi_adaptive_greedy_max(k: int, eps: float, gap: str = "ig") -> Policy:
         raise MalformedInputError("eps must be >= 0")
     if gap not in ("ig", "rig"):
         raise MalformedInputError(f"unknown gap kind {gap!r}")
-
-    def play(inst: Instance, ctx: PolicyContext):
-        if k > inst.n:
-            raise MalformedInputError(f"budget {k} exceeds ground set size {inst.n}")
-        yield from _greedy(inst, ctx, k, every=k, eps=eps, gap=gap)
-
-    return Policy(name=f"semi(k={k},eps={eps:.6g},{gap})", play=play)
+    return Policy(name=f"semi(k={k},eps={eps:.6g},{gap})",
+                  play=lambda inst, ctx: _greedy(inst, ctx, k, every=k, eps=eps, gap=gap))
 
 
 def semi_adaptive_greedy_coverage(eps: float = 0.1, gap: str = "rig") -> Policy:
@@ -510,11 +498,8 @@ def semi_adaptive_greedy_coverage(eps: float = 0.1, gap: str = "rig") -> Policy:
         raise MalformedInputError("eps must be >= 0")
     if gap not in ("ig", "rig"):
         raise MalformedInputError(f"unknown gap kind {gap!r}")
-
-    def play(inst: Instance, ctx: PolicyContext):
-        yield from _greedy(inst, ctx, inst.n, every=inst.n, eps=eps, gap=gap, cover=True)
-
-    return Policy(name=f"semi-cov(eps={eps:.6g},{gap})", play=play)
+    return Policy(name=f"semi-cov(eps={eps:.6g},{gap})", play=lambda inst, ctx: _greedy(
+        inst, ctx, inst.n, every=inst.n, eps=eps, gap=gap, cover=True))
 
 
 def fixed_batch_greedy(r: int, k: int) -> Policy:
@@ -528,11 +513,8 @@ def fixed_batch_greedy(r: int, k: int) -> Policy:
         raise MalformedInputError("batch size must be >= 1")
     if k < 0:
         raise MalformedInputError("budget must be >= 0")
-
-    def play(inst: Instance, ctx: PolicyContext):
-        yield from _greedy(inst, ctx, min(k, inst.n), every=r)
-
-    return Policy(name=f"batch(r={r},k={k})", play=play)
+    return Policy(name=f"batch(r={r},k={k})",
+                  play=lambda inst, ctx: _greedy(inst, ctx, min(k, inst.n), every=r))
 
 
 def fixed_sequence_policy(seq: Iterable[int]) -> Policy:

@@ -16,13 +16,13 @@ import numpy as np
 
 from .engine import (
     Policy,
+    _cached_marginals,
     _csv,
     _exact_traces,
     cap_value,
     concat,
     f_avg_exact,
     c_avg_exact,
-    marginal,
     marginals_for,
     run_policy,
     truncate,
@@ -131,40 +131,24 @@ def _subsets_in_order(pairs: tuple[tuple[int, int], ...]):
         yield from itertools.combinations(pairs, size)
 
 
-def _exact_marginal_fn(inst: Instance) -> Callable[[PartialRealization, int], float]:
-    """Definition-level marginal with memoization; ignores instance fast hooks
-    on purpose, since this is what certifies them."""
-    memo: dict[tuple, float] = {}
-
-    def marg(psi: PartialRealization, e: int) -> float:
-        key = (psi.pairs, e)
-        v = memo.get(key)
-        if v is None:
-            v = memo[key] = marginal(inst.utility, inst.prior, psi, e)
-        return v
-
-    return marg
-
-
 def check_adaptive_submodular(inst: Instance) -> BoundCheckResult:
     """Exhaustive diminishing-returns check over all reachable state pairs.
 
     Scans superstates in (size, lex) order, their substates likewise, and
     elements ascending, so the first violation is deterministic.  When
-    certified, reports the tightest pair found.
+    certified, reports the tightest pair found.  Marginals come from
+    engine._cached_marginals, one vector per state: the definition with the
+    instance's scorer hooks bypassed, since this is what certifies them.
     """
-    states = _reachable_states(inst)
-    marg = _exact_marginal_fn(inst)
     worst: tuple[float, float, MarginalPairWitness] | None = None
-    for sup in states:
+    for sup in _reachable_states(inst):
         open_elems = [e for e in range(inst.n) if e not in sup]
         if not open_elems:
             continue
+        sup_margs = _cached_marginals(inst, sup, open_elems)
         for sub_pairs in _subsets_in_order(sup.pairs):
             psi = PartialRealization(sub_pairs)
-            for e in open_elems:
-                a = marg(psi, e)
-                b = marg(sup, e)
+            for e, a, b in zip(open_elems, _cached_marginals(inst, psi, open_elems), sup_margs):
                 if a < b - _TOL:
                     return _result(
                         "adaptive-submodular", inst, a, b, MarginalPairWitness(e, psi, sup)
@@ -177,15 +161,12 @@ def check_adaptive_submodular(inst: Instance) -> BoundCheckResult:
 
 
 def check_adaptive_monotone(inst: Instance) -> BoundCheckResult:
-    """Exhaustive non-negative-marginal check over all reachable states."""
-    states = _reachable_states(inst)
-    marg = _exact_marginal_fn(inst)
+    """Exhaustive non-negative-marginal check over all reachable states, on
+    engine._cached_marginals with the hooks bypassed, as the submodular one."""
     worst: tuple[float, MarginalPairWitness] | None = None
-    for psi in states:
-        for e in range(inst.n):
-            if e in psi:
-                continue
-            a = marg(psi, e)
+    for psi in _reachable_states(inst):
+        open_elems = [e for e in range(inst.n) if e not in psi]
+        for e, a in zip(open_elems, _cached_marginals(inst, psi, open_elems)):
             if a < -_TOL:
                 return _result("adaptive-monotone", inst, a, 0.0, MarginalPairWitness(e, psi, psi))
             if worst is None or a < worst[0]:

@@ -297,10 +297,20 @@ def test_exact_traces_equal_plain_rows(build):
         assert _rows_in_order(pol, inst) == _plain_traces(pol, inst), pol.name
 
 
-def test_exact_traces_equal_plain_rows_with_sampled_fallbacks(monkeypatch):
+# The cover samples in its scorer hook; the hook-less table takes the
+# generic fallback of policies._score_state.
+sampled_instances = pytest.mark.parametrize(
+    "build",
+    [lambda: build_stochastic_cover(6, 12, 2, seed=3), lambda: build_random_tabular(4, 6, 0)],
+    ids=["cover-m2", "tab-s0"],
+)
+
+
+@sampled_instances
+def test_exact_traces_equal_plain_rows_with_sampled_fallbacks(monkeypatch, build):
     monkeypatch.setenv("ADASUB_BRANCH_CAP", "3")
     monkeypatch.setenv("ADASUB_MC_FALLBACK", "200")
-    inst = build_stochastic_cover(6, 12, 2, seed=3)
+    inst = build()
     flagged = 0
     for pol in _every_policy(inst, 3):
         rows = _rows_in_order(pol, inst)
@@ -316,10 +326,11 @@ def test_exact_report_equals_fsum_of_plain_rows(build):
         assert evaluate_exact(pol, inst) == _plain_report(pol, inst), pol.name
 
 
-def test_exact_report_equals_fsum_of_plain_rows_with_sampled_fallbacks(monkeypatch):
+@sampled_instances
+def test_exact_report_equals_fsum_of_plain_rows_with_sampled_fallbacks(monkeypatch, build):
     monkeypatch.setenv("ADASUB_BRANCH_CAP", "3")
     monkeypatch.setenv("ADASUB_MC_FALLBACK", "200")
-    inst = build_stochastic_cover(6, 12, 2, seed=3)
+    inst = build()
     reports = [evaluate_exact(pol, inst) for pol in _every_policy(inst, 3)]
     assert reports == [_plain_report(pol, inst) for pol in _every_policy(inst, 3)]
     assert any("sav-mc" in rep.flags for rep in reports)

@@ -288,9 +288,10 @@ def test_expand_product_equivalence():
                 assert o1 == o2 and math.isclose(w1, w2, abs_tol=1e-12)
 
 
-def test_expand_product_cap():
+def test_expand_product_cap(monkeypatch):
+    monkeypatch.setenv("ADASUB_MAX_SUPPORT", "100")
     with pytest.raises(TooLargeError):
-        expand_product(ProductPrior([[0.5, 0.5]] * 8), cap=100)
+        expand_product(ProductPrior([[0.5, 0.5]] * 8))
 
 
 def test_joint_dist_cap():

@@ -6,7 +6,7 @@ import time
 import pytest
 
 from adasub import policies
-from adasub.engine import c_avg_exact, f_avg_exact, marginal
+from adasub.engine import _MARGINAL_CACHE, c_avg_exact, f_avg_exact, marginal
 from adasub.errors import InfeasibleError, MalformedInputError, TooLargeError
 from adasub.instances import build_bags, build_random_tabular, build_stochastic_cover
 from adasub.model import EMPTY, CoverageSpec, PartialRealization
@@ -97,6 +97,19 @@ def test_checker_flags_monotone_violation():
     )
     assert not check_adaptive_monotone(inst).satisfied
     assert check_adaptive_monotone(inst).witness is not None
+
+
+def test_certificates_read_a_cache_that_clears(monkeypatch):
+    # 181 reachable states and 352 (state, element) marginals: under a cap of
+    # 200 the instance's marginal cache clears while the checks read it.
+    checks = (check_adaptive_submodular, check_adaptive_monotone)
+    inst = build_random_tabular(5, 12, 3)
+    want = [check(inst) for check in checks]
+    assert len(_MARGINAL_CACHE[inst]) == 352
+    monkeypatch.setenv("ADASUB_MAX_STATES", "200")
+    inst = build_random_tabular(5, 12, 3)
+    assert [check(inst) for check in checks] == want
+    assert len(_MARGINAL_CACHE[inst]) <= 200
 
 
 # --- eta and selection counts ---------------------------------------------------------
