@@ -9,17 +9,21 @@ combinator's inner policies.
 
 One driver, _walk, runs every policy.  It walks the policy tree: one run
 starts with a list of realization rows, at each QUERY the rows split by
-reply, and each part but the first restarts the policy on the replies
-recorded on its path.  A plain run (run_policy, evaluate_mc, the Monte Carlo
-verifiers) is the walk over one row, on the caller's seed and with no scorer
-memo; one row never splits or restarts.  Exact evaluation and threshold
-calibration walk the prior support (times the seed space, capped at
-max_support) at a fixed seed.  Every QUERY is answered by _reply.  So in
-exact mode a policy's actions must depend only on theta, ctx.rng and the
-replies; one that yields other actions when restarted raises PolicyBugError.
-Within one exact evaluation each decision state is scored once; a scorer
-call that drew from ctx.rng is recomputed on every run, so sampled scores
-and their flags stay those of a plain run.
+reply, and each part but the first goes on separately.  A policy whose
+generator has fork(ctx) (the greedy kernel behind every marginal-driven
+policy) is forked there, onto a fork of its context that carries the rng
+state and flags; any other generator (the combinators, a fixed sequence, the
+DP policies, user code) is restarted on the replies recorded on the part's
+path.  A plain run (run_policy, evaluate_mc, the Monte Carlo verifiers) is
+the walk over one row, on the caller's seed and with no scorer memo; one row
+never splits.  Exact evaluation and threshold calibration walk the prior
+support (times the seed space, capped at max_support) at a fixed seed.
+Every QUERY is answered by _reply.  So in exact mode a policy's actions must
+depend only on theta, ctx.rng and the replies; one that yields other actions
+when restarted raises PolicyBugError.  Within one exact evaluation each
+decision state is scored once; a scorer call that drew from ctx.rng is
+recomputed on every restart, and a fork goes on from the rng state at its
+split, so sampled scores and their flags stay those of a plain run.
 """
 from __future__ import annotations
 
@@ -65,9 +69,9 @@ STOP = _Singleton("Stop")
 Action = Any  # Select | QUERY | STOP
 
 
-@dataclass(eq=False)
+@dataclass
 class PolicyContext:
-    """Per-run context handed to a policy generator; it hashes by identity.
+    """Per-run context handed to a policy generator.
 
     theta is the resolved seed-space value for randomized policies; rng is a
     lazily created deterministic generator for internal sampling fallbacks.
@@ -96,6 +100,16 @@ class PolicyContext:
         # trace, and the memo so inner policies reuse the scores.
         kid = PolicyContext(theta=theta, seed=(self.seed * 1000003 + salt) & 0x7FFFFFFF, flags=self.flags)
         kid._memo = self._memo
+        return kid
+
+    def fork(self) -> "PolicyContext":
+        """A context that goes on from this one's state: the same theta, seed,
+        rng state and draw count, a copy of the flags, and the shared memo."""
+        kid = PolicyContext(theta=self.theta, seed=self.seed, flags=set(self.flags))
+        kid._memo, kid._draws = self._memo, self._draws
+        if self._rng is not None:
+            kid._rng = np.random.default_rng(self.seed)
+            kid._rng.bit_generator.state = self._rng.bit_generator.state
         return kid
 
 
@@ -137,7 +151,7 @@ class _Run:
     """
 
     def __init__(self, gen: Iterator[Action], name: str):
-        self._gen = gen
+        self.gen = gen
         self._name = name
         self.reply: dict[int, int] | None = None
 
@@ -146,7 +160,7 @@ class _Run:
 
     def __next__(self) -> Action:
         reply, self.reply = self.reply, None
-        action = self._gen.send(reply)  # a return raises StopIteration here
+        action = self.gen.send(reply)  # a return raises StopIteration here
         if action is STOP:
             raise StopIteration
         if action is not QUERY and not isinstance(action, Select):
@@ -360,27 +374,38 @@ def _walk(policy: Policy, inst: Instance, rows: list, theta: Any, memo: dict | N
           seed: int = EXACT_SEED):
     """Leaves of the policy tree on coin theta over rows (index, phi, weight):
     each leaf's rows, with the selections, cost, round marks and observations
-    they share and the context of the run that ended there.  This one loop
-    drives every policy: a plain run is the walk over one row on the caller's
-    seed with no memo; exact evaluation and threshold calibration walk the
-    support.  A run starts with every row; at each QUERY its rows split by
-    reply (and by what it newly reveals), the first part goes on and each
-    other part waits with the selections made before each QUERY on its path,
-    one tuple shared by the parts of a split.  A waiting part restarts the
-    policy on a fresh context (so ctx.rng draws as in a plain run; draw-free
-    scores come from memo), fed its rows' replies, and raises PolicyBugError
-    if the policy yields other actions.  A round is a QUERY that revealed
-    something new, marked by len(observed) after it, so the observations up
-    to each round are a prefix of the insertion-ordered observed.
+    they share, and the context and generator of the run that ended there.
+    This one loop drives every policy: a plain run is the walk over one row
+    on the caller's seed with no memo; exact evaluation and threshold
+    calibration walk the support.  A run starts with every row; at each QUERY
+    its rows split by reply (and by what it newly reveals), the first part
+    goes on and each other part waits.  If the generator has fork(ctx), a
+    waiting part holds a fork of the run on ctx.fork() with copies of its
+    bookkeeping, and goes on from the split with its own reply.  Otherwise it
+    holds the selections made before each QUERY on its path, one tuple shared
+    by the parts of a split, and restarts the policy on a fresh context (so
+    ctx.rng draws as in a plain run; draw-free scores come from memo), fed its
+    rows' replies; it raises PolicyBugError if the policy yields other
+    actions.  A round is a QUERY that revealed something new, marked by
+    len(observed) after it, so the observations up to each round are a prefix
+    of the insertion-ordered observed.
     """
-    stack = [(rows, ())]
+    stack = [(rows, (), None)]
     while stack:
-        group, recorded = stack.pop()
-        ctx = PolicyContext(theta=theta, seed=seed)
-        ctx._memo = memo
-        selected, pending, observed, path, marks = [], [], {}, (), []
-        cost = 0.0
-        run = _Run(policy.play(inst, ctx), policy.name)
+        group, recorded, snap = stack.pop()
+        if snap is None:
+            ctx = PolicyContext(theta=theta, seed=seed)
+            ctx._memo = memo
+            run = _Run(policy.play(inst, ctx), policy.name)
+            selected, observed, marks, path, cost = [], {}, [], (), 0.0
+        else:
+            run, ctx, selected, observed, marks, path, cost, (reply, newly) = snap
+            if newly:
+                observed.update(newly)
+                marks.append(len(observed))
+            run.reply = dict(reply)
+        fork = getattr(run.gen, "fork", None)
+        pending = []
         for action in run:
             if isinstance(action, Select):
                 e = action.element
@@ -398,7 +423,13 @@ def _walk(policy: Policy, inst: Instance, rows: list, theta: Any, memo: dict | N
                 for row in group:
                     parts.setdefault(_reply(inst, row[1], pending, observed), []).append(row)
                 ((reply, newly), group), *rest = parts.items()
-                stack.extend((part, path) for _key, part in rest)
+                for key, part in rest:
+                    if fork is None:
+                        stack.append((part, path, None))
+                        continue
+                    kid = ctx.fork()
+                    stack.append((part, (), (_Run(fork(kid), policy.name), kid, list(selected),
+                                             dict(observed), list(marks), path, cost, key)))
             elif path[-1] != recorded[len(path) - 1]:
                 break
             else:
@@ -413,14 +444,14 @@ def _walk(policy: Policy, inst: Instance, rows: list, theta: Any, memo: dict | N
                 f"{policy.name} changed its actions on replayed replies; exact "
                 "evaluation needs actions that depend only on theta, ctx.rng and the replies"
             )
-        yield group, selected, cost, marks, observed, ctx
+        yield group, selected, cost, marks, observed, ctx, run.gen
 
 
 def _trace(inst: Instance, phi: Realization, leaf: tuple, empty: float,
            collect_rounds: bool = False) -> PolicyTrace:
     """The trace of a _walk leaf against its row phi; value and gains come
     from the utility of each selection prefix, `empty` being f of none."""
-    _group, selected, cost, marks, observed, ctx = leaf
+    _group, selected, cost, marks, observed, ctx, _gen = leaf
     psi, vals = EMPTY, [empty]
     for e in selected:
         psi = psi.extend(e, phi[e])

@@ -5,14 +5,18 @@ Select/Query/Stop protocol.  Policies keep their own view of observations
 (accumulated Query responses); the runner owns the global trace.
 
 The greedy, coverage, threshold, semi-adaptive and fixed-batch constructors
-are bare configurations of one generator: their play returns _greedy with a
+are bare configurations of one kernel: their play returns a _Greedy with a
 budget, observe and accept rules, with or without the instance's coverage
 goal.  It scores every decision state, gap tests included, through
-_sav_and_denom.  calibrate_tau walks it over the support with engine._walk
-to read off score paths.
+_sav_and_denom.  It is a generator with fork, so engine._walk forks it at
+each split of an exact walk instead of restarting it; the other policies
+here are plain generators and restart.  calibrate_tau walks it over the
+support with engine._walk to read off the score trail of each leaf.
 """
 from __future__ import annotations
 
+import copy
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable
@@ -63,17 +67,12 @@ def covered(inst: Instance, psi: PartialRealization) -> bool:
 # --- the greedy kernel, shared by every marginal-driven policy ---------------
 
 
-def _greedy(
-    inst: Instance,
-    ctx: PolicyContext,
-    budget: int,
-    *,
-    every: int,
-    eps: float | None = None,
-    gap: str = "ig",
-    cover: bool = False,
-    accept: Callable[[float], bool] | None = None,
-):
+# Phases of a _Greedy kernel between two resumes: before its first decision,
+# after a Select, after a QUERY, and when the next resume ends the run.
+_START, _PICKED, _QUERIED, _END = range(4)
+
+
+class _Greedy:
     """The greedy loop behind every marginal-driven policy.
 
     Each step picks the unselected element with the best score, ties to the
@@ -89,23 +88,69 @@ def _greedy(
     and stops the run once the quota is reached; when nothing left helps in
     expectation the batch is resolved first, and with no batch outstanding
     the run ends flagged "uncovered".
-    accept sees each best score before its pick; False observes the batch and
-    ends the run.
+    accept sees each best score before its pick, which `trail` records; False
+    observes the batch and ends the run.
+
+    It is a generator written out (iter, next and send), so its state is
+    plain data: the view, the selected set, the pending batch, the trail and
+    the phase.  fork(ctx) copies that state onto another context, which lets
+    engine._walk go on from a split instead of restarting the policy.
     """
-    if budget > inst.n:
-        raise MalformedInputError(f"budget {budget} exceeds ground set size {inst.n}")
-    cap = _goal(inst).quota if cover else None
-    view: dict[int, int] = {}
-    selected: set[int] = set()
-    pending: list[int] = []
-    while True:
-        psi = PartialRealization(view)
+
+    def __init__(self, inst: Instance, ctx: PolicyContext, budget: int, *, every: int,
+                 eps: float | None = None, gap: str = "ig", cover: bool = False,
+                 accept: Callable[[float], bool] | None = None):
+        if budget > inst.n:
+            raise MalformedInputError(f"budget {budget} exceeds ground set size {inst.n}")
+        self.inst, self.ctx, self.budget, self.every = inst, ctx, budget, every
+        self.eps, self.gap, self.cover, self.accept = eps, gap, cover, accept
+        self.cap = _goal(inst).quota if cover else None
+        self.view: dict[int, int] = {}
+        self.selected: set[int] = set()
+        self.pending: list[int] = []
+        self.trail: list[float] = []
+        self.phase = _START
+
+    def fork(self, ctx: PolicyContext) -> "_Greedy":
+        kid = copy.copy(self)
+        kid.ctx, kid.view, kid.selected = ctx, dict(self.view), set(self.selected)
+        kid.pending, kid.trail = list(self.pending), list(self.trail)
+        return kid
+
+    def __iter__(self) -> "_Greedy":
+        return self
+
+    def __next__(self):
+        return self.send(None)
+
+    def send(self, reply: dict[int, int] | None):
+        phase = self.phase
+        if phase == _QUERIED:
+            self.view.update(reply)
+            self.pending.clear()
+        elif phase == _PICKED:
+            if len(self.pending) >= self.every:
+                self.phase = _QUERIED
+                return QUERY
+        elif phase == _END:
+            raise StopIteration
+        action = self._decide()
+        if action is None:
+            self.phase = _END
+            raise StopIteration
+        return action
+
+    def _decide(self):
+        """The action at the top of the loop: a Select, a QUERY, or None to
+        end the run."""
+        inst, ctx, pending, selected, cover = self.inst, self.ctx, self.pending, self.selected, self.cover
+        psi = PartialRealization(self.view)
         if cover and covered(inst, psi):
-            return
-        stuck = len(selected) >= budget
+            return None
+        stuck = len(selected) >= self.budget
         if not stuck:
             cands = [e for e in range(inst.n) if e not in selected]
-            scores, denom = _sav_and_denom(inst, psi, pending, cands, ctx, cap)
+            scores, denom = _sav_and_denom(inst, psi, pending, cands, ctx, self.cap)
             if not cover:
                 e, best = argmax_pairs(zip(cands, scores))
             else:
@@ -117,30 +162,33 @@ def _greedy(
         if stuck and not pending:
             if cover:
                 ctx.flags.add("uncovered")
-            return
+            return None
         observe = stuck  # with a batch outstanding, resolve it and look again
-        if not stuck and eps is not None and pending:
-            observe = _gap_ratio(inst, psi, scores, denom, gap, ctx, cap) < 1.0 - eps - _EQ_TOL
-        if not observe:
-            if accept is not None and not accept(best):
-                if pending:
-                    yield QUERY
-                return
-            selected.add(e)
-            pending.append(e)
-            yield Select(e)
-            observe = len(pending) >= every
+        if not stuck and self.eps is not None and pending:
+            ratio = _gap_ratio(inst, psi, scores, denom, self.gap, ctx, self.cap)
+            observe = ratio < 1.0 - self.eps - _EQ_TOL
         if observe:
-            resp = yield QUERY
-            view.update(resp)
-            pending.clear()
+            self.phase = _QUERIED
+            return QUERY
+        accept = self.accept
+        if accept is not None:
+            self.trail.append(best)
+            if not accept(best):
+                if not pending:
+                    return None
+                self.phase = _END
+                return QUERY
+        selected.add(e)
+        pending.append(e)
+        self.phase = _PICKED
+        return Select(e)
 
 
 def greedy_max(k: int) -> Policy:
     """Fully adaptive greedy: k rounds of select-best-marginal then observe."""
     if k < 0:
         raise MalformedInputError("budget must be >= 0")
-    return Policy(name=f"greedy(k={k})", play=lambda inst, ctx: _greedy(inst, ctx, k, every=1))
+    return Policy(name=f"greedy(k={k})", play=lambda inst, ctx: _Greedy(inst, ctx, k, every=1))
 
 
 def greedy_coverage() -> Policy:
@@ -151,7 +199,7 @@ def greedy_coverage() -> Policy:
     is the instance's own.
     """
     return Policy(name="greedy-cov",
-                  play=lambda inst, ctx: _greedy(inst, ctx, inst.n, every=1, cover=True))
+                  play=lambda inst, ctx: _Greedy(inst, ctx, inst.n, every=1, cover=True))
 
 
 # --- threshold policies and their calibration -------------------------------
@@ -182,7 +230,7 @@ def threshold_policy(tau: float, coin_p: float = 0.0, mode: str = "marginal") ->
 
     def play(inst: Instance, ctx: PolicyContext):
         inclusive = bool(ctx.theta)
-        return _greedy(inst, ctx, inst.n, every=1 if mode == "marginal" else inst.n,
+        return _Greedy(inst, ctx, inst.n, every=1 if mode == "marginal" else inst.n,
                        accept=lambda score: _passes(score, tau, inclusive))
 
     name = f"threshold(tau={tau:.12g},p={coin_p:.12g}"
@@ -193,26 +241,20 @@ def threshold_policy(tau: float, coin_p: float = 0.0, mode: str = "marginal") ->
 
 def _score_paths(inst: Instance, mode: str) -> list[tuple[float, list[float]]]:
     """(weight, best-score path) of the threshold kernel run to exhaustion,
-    one per support row, from the leaves of its engine._walk.  Each run keeps
-    its scores under its own context, and every run starts at the root, so a
-    leaf's context names its whole path.  Mode "sav" observes nothing before
-    its last pick, so it walks the first row alone, with weight 1, and
-    checks no support cap."""
-    runs: dict[PolicyContext, list[float]] = {}
-
-    def play(inst: Instance, ctx: PolicyContext):
-        scores = runs[ctx] = []
-        return _greedy(inst, ctx, inst.n, every=1 if mode == "marginal" else inst.n,
-                       accept=lambda score: scores.append(score) or True)
-
+    one per support row: the trail of the kernel at each leaf of its
+    engine._walk, which a fork inherits, so it names the leaf's whole path.
+    Mode "sav" observes nothing before its last pick, so it walks the first
+    row alone, with weight 1, and checks no support cap."""
+    every = 1 if mode == "marginal" else inst.n
+    kernel = Policy(name="threshold kernel", play=lambda inst, ctx: _Greedy(
+        inst, ctx, inst.n, every=every, accept=lambda _score: True))
     if mode == "marginal":
         rows = _checked_support(inst, 1)
     else:
         rows = [(0, next(iter(inst.prior.support()))[0], 1.0)]
     paths = []
-    for group, *_, ctx in _walk(Policy(name="threshold kernel", play=play), inst, rows, None, {}):
-        scores = runs.pop(ctx)
-        paths.extend((w, scores) for _j, _phi, w in group)
+    for group, *_, gen in _walk(kernel, inst, rows, None, {}):
+        paths.extend((w, gen.trail) for _j, _phi, w in group)
     return paths
 
 
@@ -484,7 +526,7 @@ def semi_adaptive_greedy_max(k: int, eps: float, gap: str = "ig") -> Policy:
     if gap not in ("ig", "rig"):
         raise MalformedInputError(f"unknown gap kind {gap!r}")
     return Policy(name=f"semi(k={k},eps={eps:.6g},{gap})",
-                  play=lambda inst, ctx: _greedy(inst, ctx, k, every=k, eps=eps, gap=gap))
+                  play=lambda inst, ctx: _Greedy(inst, ctx, k, every=k, eps=eps, gap=gap))
 
 
 def semi_adaptive_greedy_coverage(eps: float = 0.1, gap: str = "rig") -> Policy:
@@ -498,7 +540,7 @@ def semi_adaptive_greedy_coverage(eps: float = 0.1, gap: str = "rig") -> Policy:
         raise MalformedInputError("eps must be >= 0")
     if gap not in ("ig", "rig"):
         raise MalformedInputError(f"unknown gap kind {gap!r}")
-    return Policy(name=f"semi-cov(eps={eps:.6g},{gap})", play=lambda inst, ctx: _greedy(
+    return Policy(name=f"semi-cov(eps={eps:.6g},{gap})", play=lambda inst, ctx: _Greedy(
         inst, ctx, inst.n, every=inst.n, eps=eps, gap=gap, cover=True))
 
 
@@ -514,7 +556,7 @@ def fixed_batch_greedy(r: int, k: int) -> Policy:
     if k < 0:
         raise MalformedInputError("budget must be >= 0")
     return Policy(name=f"batch(r={r},k={k})",
-                  play=lambda inst, ctx: _greedy(inst, ctx, min(k, inst.n), every=r))
+                  play=lambda inst, ctx: _Greedy(inst, ctx, min(k, inst.n), every=r))
 
 
 def fixed_sequence_policy(seq: Iterable[int]) -> Policy:
@@ -535,13 +577,15 @@ def fixed_sequence_policy(seq: Iterable[int]) -> Policy:
 
 
 def _dp(
-    inst: Instance, psi: PartialRealization, memo: dict, left: int, cover: bool
+    inst: Instance, psi: PartialRealization, memo: dict, left: int, cover: bool,
+    limit: Callable[[], int],
 ) -> tuple[float, int | None]:
     """Exact optimum from psi and the first pick attaining it (smallest id on
     ties; None at a final state): without cover the best expected value with
     `left` picks left, else the least expected inst.cost of reaching the
     instance's quota.  memo serves one objective and, for values, one budget,
-    so |psi| + left is constant within it."""
+    so |psi| + left is constant within it.  limit() is the state cap, from
+    _state_cap."""
     hit = memo.get(psi.pairs)
     if hit is not None:
         return hit
@@ -552,7 +596,7 @@ def _dp(
     elif len(psi) == inst.n:  # an uncovered full view
         raise InfeasibleError(f"realization {psi!r} cannot reach the quota on {inst.name}")
     else:
-        if len(memo) >= cap_value("max_states"):
+        if len(memo) >= limit():
             what = "coverage optimum" if cover else f"budget-{left} optimum"
             raise TooLargeError(f"{what} exceeds the state cap on {inst.name}")
         best = (math.inf if cover else -math.inf, None)
@@ -560,7 +604,7 @@ def _dp(
             if e in psi:
                 continue
             ev = math.fsum(
-                p * _dp(inst, psi.extend(e, o), memo, left - 1, cover)[0]
+                p * _dp(inst, psi.extend(e, o), memo, left - 1, cover, limit)[0]
                 for o, p in inst.prior.outcome_dist(e, psi)
             )
             if cover:
@@ -571,14 +615,20 @@ def _dp(
     return best
 
 
+def _state_cap() -> Callable[[], int]:
+    """max_states, read from the environment on the first call only: one
+    read per top-level DP call, and none by a call that expands no state."""
+    return functools.cache(lambda: cap_value("max_states"))
+
+
 def optimal_value(inst: Instance, k: int) -> float:
     """Expected value of the best k-selection policy (exact, memoized)."""
-    return _dp(inst, EMPTY, {}, min(k, inst.n), False)[0]
+    return _dp(inst, EMPTY, {}, min(k, inst.n), False, _state_cap())[0]
 
 
 def optimal_coverage_cost(inst: Instance) -> float:
     """Expected cost of the cheapest quota-reaching policy (exact, memoized)."""
-    return _dp(inst, EMPTY, {}, inst.n, True)[0]
+    return _dp(inst, EMPTY, {}, inst.n, True, _state_cap())[0]
 
 
 def _dp_policy(name: str, k: int | None) -> Policy:
@@ -593,12 +643,13 @@ def _dp_policy(name: str, k: int | None) -> Policy:
     def play(inst: Instance, ctx: PolicyContext):
         left = inst.n if cover else min(k, inst.n)
         memo = memos.setdefault(inst, {})
+        limit = _state_cap()
         psi = EMPTY
         while True:
             if cover and len(psi) == inst.n and not covered(inst, psi):
                 ctx.flags.add("uncovered")
                 return
-            e = _dp(inst, psi, memo, left, cover)[1]
+            e = _dp(inst, psi, memo, left, cover, limit)[1]
             if e is None:
                 return
             yield Select(e)

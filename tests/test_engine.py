@@ -7,6 +7,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from adasub import policies
 from adasub.engine import (
     CAP_DEFAULTS,
     EVAL_COLUMNS,
@@ -19,8 +20,10 @@ from adasub.engine import (
     Select,
     _MARGINAL_CACHE,
     _Run,
+    _checked_support,
     _execute,
     _exact_traces,
+    _walk,
     argmax_pairs,
     c_avg_exact,
     cap_value,
@@ -363,13 +366,78 @@ def test_exact_runs_policy_once_per_reply_sequence():
             _execute(_reply_log(base, sequences), inst, phi, None, rng_seed=EXACT_SEED)
         starts = []
 
+        # A plain generator has no fork, so the walk restarts it for every
+        # part of a split.
         def play(inst, ctx, play=base.play, starts=starts):
             starts.append(ctx.seed)
-            return play(inst, ctx)
+            yield from play(inst, ctx)
 
         rep = evaluate_exact(Policy(name=base.name, play=play), inst)
         assert rep == evaluate_exact(base, inst)
         assert len(starts) == len(sequences) <= rows // 2, base.name
+
+
+def test_exact_forks_a_bare_kernel_instead_of_restarting_it():
+    inst = build_stochastic_cover(8, 16, 2, seed=0)
+    rows = _checked_support(inst, 1)
+    for base in (greedy_max(4), semi_adaptive_greedy_coverage(eps=0.2),
+                 threshold_policy(0.5, coin_p=0.25)):
+        starts = []
+
+        def play(inst, ctx, play=base.play, starts=starts):
+            starts.append(ctx.seed)
+            return play(inst, ctx)
+
+        rep = evaluate_exact(Policy(name=base.name, play=play, seed_space=base.seed_space), inst)
+        assert rep == evaluate_exact(base, inst)
+        assert len(starts) == len(base.seed_space), base.name
+        for theta, _pt in base.seed_space:
+            sequences = set()
+            for phi, _w in inst.prior.support():
+                _execute(_reply_log(base, sequences), inst, phi, theta, rng_seed=EXACT_SEED)
+            assert len(list(_walk(base, inst, rows, theta, {}))) == len(sequences), base.name
+
+
+def test_context_fork_goes_on_from_the_rng_state_with_its_own_flags():
+    ctx = PolicyContext(theta=True, seed=5)
+    ctx._memo = {}
+    ctx.rng.random(3)
+    ctx.flags.add("sav-mc")
+    kid = ctx.fork()
+    assert (kid.theta, kid.seed, kid._draws, kid.flags) == (True, 5, 1, {"sav-mc"})
+    assert kid._memo is ctx._memo and kid.flags is not ctx.flags
+    assert kid.rng.random() == ctx.rng.random()
+    assert PolicyContext(seed=5).fork()._rng is None
+
+
+def test_a_forked_run_draws_as_a_plain_run():
+    base = build_stochastic_cover(6, 12, 2, seed=3)
+
+    def fast_sav(inst, psi, pending, cands, ctx, cap=None):
+        return [float(x) for x in ctx.rng.random(len(cands))], 1.0
+
+    inst = dataclasses.replace(base, fast_sav=fast_sav)
+    for pol in (greedy_max(3), semi_adaptive_greedy_max(3, 0.2)):
+        assert _rows_in_order(pol, inst) == _plain_traces(pol, inst), pol.name
+
+
+def test_forking_scores_fewer_states_than_restarting(monkeypatch):
+    inst = build_stochastic_cover(8, 16, 2, seed=0)
+    calls = []
+    score = policies._sav_and_denom
+    monkeypatch.setattr(policies, "_sav_and_denom", lambda *args: calls.append(1) or score(*args))
+    for base, bare, wrapped in ((greedy_max(4), 15, 64),
+                                (semi_adaptive_greedy_coverage(eps=0.2), 14, 1792)):
+
+        def play(inst, ctx, play=base.play):
+            yield from play(inst, ctx)
+
+        calls.clear()
+        rep = evaluate_exact(base, inst)
+        assert len(calls) == bare, base.name
+        calls.clear()
+        assert evaluate_exact(Policy(name=base.name, play=play), inst) == rep
+        assert len(calls) == wrapped, base.name
 
 
 def test_exact_scores_each_state_once():
