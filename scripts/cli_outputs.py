@@ -14,7 +14,9 @@ a cover, both corpora with and without size flags, and the instance-free
 suites; `experiment` serial and with `--jobs 2`; at least one case per exit
 code 1-4; non-integral or zero parameters, `--seeds 0`, sweep `timing`
 values that are not a JSON boolean, a negative `--seed` on `run` and `gen`,
-and `verify rounds --trials 0`.  Timing is never turned on, so `wall_ms`
+and `verify rounds --trials 0`; last, non-finite float parameters in a spec,
+a flag and a sweep, `--eps` outside [0, 1) on the `semi-max` and `lemma8`
+suites, and `experiment --jobs` below 1.  Timing is never turned on, so `wall_ms`
 reads 0.0.  Runs in one process (`--jobs 2` starts two workers), in a
 temporary directory, in a few seconds on 2 CPUs.
 """
@@ -216,6 +218,21 @@ def main_cases() -> None:
     run("gen", "bags", "--k", "2", "--seed", "-1")
     run("gen", "cover", "--n", "3", "--universe", "4", "--seed", "-2")
     run("verify", "rounds", "--trials", "0", "--sizes", "8")
+
+    # non-finite floats, eps outside [0, 1) and --jobs below 1
+    run("run", "bags-k3.json", "semi:eps=nan", "--k", "2")
+    run("run", "bags-k3.json", "threshold:tau=nan")
+    run("run", "bags-k3.json", "threshold:tau=inf,p=0.5")
+    run("verify", "bags-k3.json", "semi-max", "--eps", "nan")
+    run("verify", "bags-k3.json", "decay", "--eps", "0.5", "--delta=-inf")
+    experiment("eps-nan.json", [{"id": "x", "command": "verify", "suite": "lemma8",
+                                 "instance": {"file": "bags-k3.json"}, "l": 2,
+                                 "eps": float("nan")}])
+    run("verify", "bags-k3.json", "lemma8", "--l", "2", "--eps", "2")
+    run("verify", "bags-k3.json", "semi-max", "--eps", "1")
+    run("verify", "bags-k3.json", "semi-max", "--eps", "-0.5")
+    experiment("jobs.json", [], "--jobs", "0")
+    experiment("jobs.json", [], "--jobs", "-2")
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -130,13 +131,15 @@ def _param(p: dict[str, Any], key: str, default: Any = None, kind: type = int,
 
 def _number(v: Any, kind: type, what: str) -> int | float:
     """`v` as a float, or as an int when `kind` is int: anything float() takes
-    is a number, and an int must also be integral (2, 2.0 and "2" give 2).
-    Anything else is malformed input (exit 3)."""
+    is a number, a float must also be finite, and an int must also be integral
+    (2, 2.0 and "2" give 2).  Anything else is malformed input (exit 3)."""
     try:
         x = float(v)
     except (TypeError, ValueError):
         raise MalformedInputError(f"{what} is not a number") from None
     if kind is float:
+        if not math.isfinite(x):
+            raise MalformedInputError(f"{what} is not a finite number: {v!r}")
         return x
     if not x.is_integer():
         raise MalformedInputError(f"{what} is not an integer: {v!r}")
@@ -442,6 +445,8 @@ def _sweep_rows(sweep: dict[str, Any]) -> list[dict[str, str]]:
 
 
 def cmd_experiment(args) -> int:
+    if args.jobs < 1:
+        raise MalformedInputError(f"--jobs must be >= 1, got {args.jobs}")
     try:
         with open(args.config) as fh:
             config = json.load(fh)

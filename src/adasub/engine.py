@@ -9,21 +9,21 @@ combinator's inner policies.
 
 One driver, _walk, runs every policy.  It walks the policy tree: one run
 starts with a list of realization rows, at each QUERY the rows split by
-reply, and each part but the first goes on separately.  A policy whose
-generator has fork(ctx) (the greedy kernel behind every marginal-driven
-policy) is forked there, onto a fork of its context that carries the rng
-state and flags; any other generator (the combinators, a fixed sequence, the
-DP policies, user code) is restarted on the replies recorded on the part's
-path.  A plain run (run_policy, evaluate_mc, the Monte Carlo verifiers) is
-the walk over one row, on the caller's seed and with no scorer memo; one row
-never splits.  Exact evaluation and threshold calibration walk the prior
-support (times the seed space, capped at max_support) at a fixed seed.
-Every QUERY is answered by _reply.  So in exact mode a policy's actions must
-depend only on theta, ctx.rng and the replies; one that yields other actions
-when restarted raises PolicyBugError.  Within one exact evaluation each
-decision state is scored once; a scorer call that drew from ctx.rng is
-recomputed on every restart, and a fork goes on from the rng state at its
-split, so sampled scores and their flags stay those of a plain run.
+reply, and every part goes on from a live run forked at the split.  A
+generator with fork(ctx) (the greedy kernel behind every marginal-driven
+policy) is forked onto a fork of its context that carries the rng state and
+flags; any other generator (the combinators, a fixed sequence, the DP
+policies, user code) logs each reply it was sent with the action it yielded,
+and its fork is a fresh start fed that log.  A plain run (run_policy,
+evaluate_mc, the Monte Carlo verifiers) is the walk over one row, on the
+caller's seed and with no scorer memo; one row never splits.  Exact evaluation and threshold calibration walk
+the prior support (times the seed space, capped at max_support) at a fixed
+seed.  Every QUERY is answered by _reply.  So in exact mode a policy's
+actions must depend only on theta, ctx.rng and the replies; one that yields
+other actions when fed its log raises PolicyBugError.  Within one exact
+evaluation each decision state is scored once; a scorer call that drew from
+ctx.rng is recomputed on every replay, and a fork goes on from the rng state
+at its split, so sampled scores and their flags stay those of a plain run.
 """
 from __future__ import annotations
 
@@ -147,13 +147,15 @@ class _Run:
 
     A reply stored in `reply` is sent back on the next resume.  Iteration ends
     when the generator returns or yields STOP; any other action raises
-    PolicyBugError naming the policy.
+    PolicyBugError naming the policy.  When `log` is a list (_walk sets one
+    for a generator without fork), each (reply sent, action) is appended.
     """
 
     def __init__(self, gen: Iterator[Action], name: str):
         self.gen = gen
         self._name = name
         self.reply: dict[int, int] | None = None
+        self.log: list[tuple[dict[int, int] | None, Action]] | None = None
 
     def __iter__(self) -> "_Run":
         return self
@@ -165,6 +167,8 @@ class _Run:
             raise StopIteration
         if action is not QUERY and not isinstance(action, Select):
             raise PolicyBugError(f"{self._name} yielded unknown action {action!r}")
+        if self.log is not None:
+            self.log.append((reply, action))
         return action
 
 
@@ -192,7 +196,7 @@ def _execute(
     collect_rounds: bool = False,
 ) -> PolicyTrace:
     """One plain run against phi: the _walk over the single row phi, on the
-    caller's seed and with no memo.  A single row never splits or restarts."""
+    caller's seed and with no memo.  A single row never splits."""
     (leaf,) = _walk(policy, inst, [(0, phi, 1.0)], theta, None, rng_seed)
     return _trace(inst, phi, leaf, inst.utility(EMPTY), collect_rounds)
 
@@ -378,33 +382,46 @@ def _walk(policy: Policy, inst: Instance, rows: list, theta: Any, memo: dict | N
     This one loop drives every policy: a plain run is the walk over one row
     on the caller's seed with no memo; exact evaluation and threshold
     calibration walk the support.  A run starts with every row; at each QUERY
-    its rows split by reply (and by what it newly reveals), the first part
-    goes on and each other part waits.  If the generator has fork(ctx), a
-    waiting part holds a fork of the run on ctx.fork() with copies of its
-    bookkeeping, and goes on from the split with its own reply.  Otherwise it
-    holds the selections made before each QUERY on its path, one tuple shared
-    by the parts of a split, and restarts the policy on a fresh context (so
-    ctx.rng draws as in a plain run; draw-free scores come from memo), fed its
-    rows' replies; it raises PolicyBugError if the policy yields other
-    actions.  A round is a QUERY that revealed something new, marked by
-    len(observed) after it, so the observations up to each round are a prefix
-    of the insertion-ordered observed.
+    its rows split by reply (and by what it newly reveals), and each part goes
+    on, with copies of the bookkeeping and its own reply, from a live run
+    forked at the split: a generator with fork(ctx) forks onto ctx.fork(); any
+    other logs (reply sent, action) as it runs and forks by starting again on
+    a fresh context (so ctx.rng draws as in a plain run; draw-free scores come
+    from memo) fed that log, raising PolicyBugError if the policy then yields
+    other actions or ends.  A round is a QUERY that revealed something new,
+    marked by len(observed) after it, so the observations up to each round
+    are a prefix of the insertion-ordered observed.
     """
-    stack = [(rows, (), None)]
+    def start():
+        ctx = PolicyContext(theta=theta, seed=seed)
+        ctx._memo = memo
+        run = _Run(policy.play(inst, ctx), policy.name)
+        if not hasattr(run.gen, "fork"):
+            run.log = []
+        return run, ctx
+
+    def fork(run, ctx):
+        if run.log is None:
+            kid = ctx.fork()
+            return _Run(run.gen.fork(kid), policy.name), kid
+        kid_run, kid = start()
+        for reply, action in run.log:
+            kid_run.reply = reply
+            if next(kid_run, None) != action:
+                raise PolicyBugError(f"{policy.name} changed its actions on replayed replies; exact"
+                                     " evaluation needs actions that depend only on theta, ctx.rng"
+                                     " and the replies")
+        return kid_run, kid
+
+    stack = [(rows, *start(), [], {}, [], 0.0, None)]
     while stack:
-        group, recorded, snap = stack.pop()
-        if snap is None:
-            ctx = PolicyContext(theta=theta, seed=seed)
-            ctx._memo = memo
-            run = _Run(policy.play(inst, ctx), policy.name)
-            selected, observed, marks, path, cost = [], {}, [], (), 0.0
-        else:
-            run, ctx, selected, observed, marks, path, cost, (reply, newly) = snap
+        group, run, ctx, selected, observed, marks, cost, key = stack.pop()
+        if key is not None:
+            reply, newly = key
             if newly:
                 observed.update(newly)
                 marks.append(len(observed))
             run.reply = dict(reply)
-        fork = getattr(run.gen, "fork", None)
         pending = []
         for action in run:
             if isinstance(action, Select):
@@ -417,34 +434,17 @@ def _walk(policy: Policy, inst: Instance, rows: list, theta: Any, memo: dict | N
                 pending.append(e)
                 cost += inst.cost(e)
                 continue
-            path += (tuple(pending),)
-            if len(path) > len(recorded):
-                parts: dict = {}
-                for row in group:
-                    parts.setdefault(_reply(inst, row[1], pending, observed), []).append(row)
-                ((reply, newly), group), *rest = parts.items()
-                for key, part in rest:
-                    if fork is None:
-                        stack.append((part, path, None))
-                        continue
-                    kid = ctx.fork()
-                    stack.append((part, (), (_Run(fork(kid), policy.name), kid, list(selected),
-                                             dict(observed), list(marks), path, cost, key)))
-            elif path[-1] != recorded[len(path) - 1]:
-                break
-            else:
-                reply, newly = _reply(inst, group[0][1], pending, observed)
-            pending.clear()
-            if newly:
-                observed.update(newly)
-                marks.append(len(observed))
-            run.reply = dict(reply)
-        if path[:len(recorded)] != recorded:
-            raise PolicyBugError(
-                f"{policy.name} changed its actions on replayed replies; exact "
-                "evaluation needs actions that depend only on theta, ctx.rng and the replies"
-            )
-        yield group, selected, cost, marks, observed, ctx, run.gen
+            parts: dict = {}
+            for row in group:
+                parts.setdefault(_reply(inst, row[1], pending, observed), []).append(row)
+            (key, group), *rest = parts.items()
+            for k, part in rest:
+                stack.append((part, *fork(run, ctx), list(selected), dict(observed),
+                              list(marks), cost, k))
+            stack.append((group, run, ctx, selected, observed, marks, cost, key))
+            break
+        else:
+            yield group, selected, cost, marks, observed, ctx, run.gen
 
 
 def _trace(inst: Instance, phi: Realization, leaf: tuple, empty: float,
@@ -479,8 +479,8 @@ def _exact_traces(
     """((support row, seed branch), weight, trace) over prior support x policy
     seed branches at EXACT_SEED, streamed leaf by leaf of each branch's _walk.
     A leaf's rows share one trace per outcome tuple on its selections.  All
-    runs share one scorer memo, so a state met again on a restart is not
-    scored again."""
+    runs share one scorer memo, so a state met again when a fork replays its
+    log is not scored again."""
     rows = _checked_support(inst, len(policy.seed_space))
     empty = inst.utility(EMPTY)
     memo: dict = {}

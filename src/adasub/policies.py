@@ -9,9 +9,9 @@ are bare configurations of one kernel: their play returns a _Greedy with a
 budget, observe and accept rules, with or without the instance's coverage
 goal.  It scores every decision state, gap tests included, through
 _sav_and_denom.  It is a generator with fork, so engine._walk forks it at
-each split of an exact walk instead of restarting it; the other policies
-here are plain generators and restart.  calibrate_tau walks it over the
-support with engine._walk to read off the score trail of each leaf.
+each split by copying its state; the walk forks the plain generators here
+by a fresh start fed their log.  calibrate_tau walks it over the support
+with engine._walk to read off the score trail of each leaf.
 """
 from __future__ import annotations
 
@@ -94,7 +94,7 @@ class _Greedy:
     It is a generator written out (iter, next and send), so its state is
     plain data: the view, the selected set, the pending batch, the trail and
     the phase.  fork(ctx) copies that state onto another context, which lets
-    engine._walk go on from a split instead of restarting the policy.
+    engine._walk go on from a split without replaying the steps before it.
     """
 
     def __init__(self, inst: Instance, ctx: PolicyContext, budget: int, *, every: int,

@@ -288,6 +288,8 @@ def verify_semi_max_bound(
         k = ell
     if k < 1:
         raise MalformedInputError("budget must be >= 1")
+    if not 0.0 <= eps < 1.0:
+        raise MalformedInputError(f"eps must lie in [0, 1), got {eps!r}")
     f_star = f_avg_exact(pi_star, inst)
     lhs = f_avg_exact(truncate(semi_adaptive_greedy_max(k, eps), ell), inst)
     rhs = (1.0 - math.exp(-ell / k) - eps) * f_star
@@ -296,7 +298,9 @@ def verify_semi_max_bound(
 
 def verify_batch_lemma8(inst: Instance, pi_star: Policy, ell: int, eps: float) -> BoundCheckResult:
     """Batch-calibrated threshold policy against
-    (1 - e^{-(1-eps) ell / (E[K]+1)}) * f_avg(pi_star)."""
+    (1 - e^{-(1-eps) ell / (E[K]+1)}) * f_avg(pi_star), eps in [0, 1)."""
+    if not 0.0 <= eps < 1.0:
+        raise MalformedInputError(f"eps must lie in [0, 1), got {eps!r}")
     f_star, ek = _value_and_count(pi_star, inst)
     if f_star <= _TOL:
         return _result("batch-lemma8", inst, 0.0, 0.0, "vacuous: f_avg(opt)=0")

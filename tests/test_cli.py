@@ -407,6 +407,39 @@ def test_negative_seed_is_malformed(argv, bags3_file, workdir, capsys):
     assert capsys.readouterr().err == f"adasub: error: seed must be >= 0, got {seed}\n"
 
 
+@pytest.mark.parametrize("argv, error", [
+    (("run", "BAGS", "semi:eps=nan", "--k", "2"),
+     "policy spec 'semi:eps=nan': eps is not a finite number: 'nan'"),
+    (("run", "BAGS", "threshold:tau=inf"),
+     "policy spec 'threshold:tau=inf': tau is not a finite number: 'inf'"),
+    (("run", "BAGS", "threshold:tau=0.5,p=-inf"),
+     "policy spec 'threshold:tau=0.5,p=-inf': p is not a finite number: '-inf'"),
+    (("verify", "BAGS", "lemma8", "--l", "2", "--eps", "nan"), "eps is not a finite number: nan"),
+    (("verify", "BAGS", "decay", "--eps", "0.5", "--delta", "inf"),
+     "delta is not a finite number: inf"),
+    (("experiment", "SWEEP"), "eps is not a finite number: nan"),
+])
+def test_non_finite_float_is_malformed(argv, error, bags3_file, workdir, capsys):
+    sweep = {"id": "s", "command": "verify", "suite": "semi-max",
+             "instance": {"file": bags3_file}, "l": 2, "eps": float("nan")}
+    subs = {"BAGS": bags3_file, "SWEEP": _write_config(workdir, [sweep])}
+    assert run_cli(*(subs.get(a, a) for a in argv)) == EXIT_MALFORMED
+    assert capsys.readouterr().err == f"adasub: error: {error}\n"
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_experiment_jobs_below_one_is_malformed(jobs, workdir, capsys):
+    cfg = _write_config(workdir, [])
+    assert run_cli("experiment", cfg, "--jobs", jobs) == EXIT_MALFORMED
+    assert capsys.readouterr().err == f"adasub: error: --jobs must be >= 1, got {jobs}\n"
+
+
+@pytest.mark.parametrize("suite", [("semi-max",), ("lemma8", "--l", "2")])
+def test_verify_eps_of_two_is_malformed(suite, bags3_file, capsys):
+    assert run_cli("verify", bags3_file, *suite, "--eps", "2") == EXIT_MALFORMED
+    assert capsys.readouterr().err == "adasub: error: eps must lie in [0, 1), got 2.0\n"
+
+
 def test_tau_cal_fractional_target(workdir, capsys):
     run_cli("gen", "tabular", "--n", "3", "--m", "4", "--out", "tab.json")
     capsys.readouterr()

@@ -7,7 +7,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from adasub import policies
+from adasub import engine, policies
 from adasub.engine import (
     CAP_DEFAULTS,
     EVAL_COLUMNS,
@@ -438,6 +438,29 @@ def test_forking_scores_fewer_states_than_restarting(monkeypatch):
         calls.clear()
         assert evaluate_exact(Policy(name=base.name, play=play), inst) == rep
         assert len(calls) == wrapped, base.name
+
+
+@pytest.mark.parametrize("build", [lambda: build_stochastic_cover(8, 16, 2, seed=0),
+                                   lambda: build_bags(3)], ids=["cover", "bags"])
+def test_a_plain_generator_is_forked_without_re_walking_its_path(monkeypatch, build):
+    # A fork of a plain generator replays its log, so the walk builds no
+    # reply for a step it has already taken: as many _reply calls as the
+    # bare kernel, which forks itself.
+    inst = build()
+    calls = []
+    reply = engine._reply
+    monkeypatch.setattr(engine, "_reply", lambda *args: calls.append(1) or reply(*args))
+    for base in (greedy_max(4), semi_adaptive_greedy_coverage(eps=0.2)):
+
+        def play(inst, ctx, play=base.play):
+            yield from play(inst, ctx)
+
+        calls.clear()
+        rep = evaluate_exact(base, inst)
+        bare = len(calls)
+        calls.clear()
+        assert evaluate_exact(Policy(name=base.name, play=play), inst) == rep
+        assert len(calls) == bare, base.name
 
 
 def test_exact_scores_each_state_once():

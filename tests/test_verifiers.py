@@ -243,6 +243,14 @@ def test_batch_lemma8(anti_inst):
         assert r.satisfied, seed
 
 
+@pytest.mark.parametrize("eps", [-0.1, 1.0, 2.0, math.nan])
+def test_value_bounds_reject_eps_outside_unit_interval(anti_inst, eps):
+    # eps >= 1 leaves a right-hand side of at most zero, which any policy meets.
+    for check in (verify_semi_max_bound, verify_batch_lemma8):
+        with pytest.raises(MalformedInputError, match=r"^eps must lie in \[0, 1\), got "):
+            check(anti_inst, optimal_policy_dp(2), 2, eps)
+
+
 # --- superround decay and round complexity ------------------------------------------------
 
 
