@@ -14,9 +14,11 @@ a cover, both corpora with and without size flags, and the instance-free
 suites; `experiment` serial and with `--jobs 2`; at least one case per exit
 code 1-4; non-integral or zero parameters, `--seeds 0`, sweep `timing`
 values that are not a JSON boolean, a negative `--seed` on `run` and `gen`,
-and `verify rounds --trials 0`; last, non-finite float parameters in a spec,
+and `verify rounds --trials 0`; non-finite float parameters in a spec,
 a flag and a sweep, `--eps` outside [0, 1) on the `semi-max` and `lemma8`
-suites, and `experiment --jobs` below 1.  Timing is never turned on, so `wall_ms`
+suites, and `experiment --jobs` below 1; last, `run` (and for eta `verify
+eta`) on instance files with a NaN or infinite coverage quota, eta or cost,
+a NaN product marginal, cover item weight or table row weight.  Timing is never turned on, so `wall_ms`
 reads 0.0.  Runs in one process (`--jobs 2` starts two workers), in a
 temporary directory, in a few seconds on 2 CPUs.
 """
@@ -233,6 +235,32 @@ def main_cases() -> None:
     run("verify", "bags-k3.json", "semi-max", "--eps", "-0.5")
     experiment("jobs.json", [], "--jobs", "0")
     experiment("jobs.json", [], "--jobs", "-2")
+
+    # non-finite numbers in an instance file
+    nan, inf = float("nan"), float("inf")
+    for src, name, keys, value in (
+        ("cov.json", "quota-nan", ("coverage", "quota"), nan),
+        ("cov.json", "quota-inf", ("coverage", "quota"), inf),
+        ("cov.json", "eta-nan", ("coverage", "eta"), nan),
+        ("cov.json", "eta-inf", ("coverage", "eta"), inf),
+        ("cov.json", "costs-nan", ("coverage", "costs"), [1.0, nan, 1.0, 1.0]),
+        ("cov.json", "costs-inf", ("coverage", "costs"), [1.0, 1.0, inf, 1.0]),
+        ("cov.json", "marginal-nan", ("prior", "marginals", 0, 0), nan),
+        ("cov.json", "item-weight-nan", ("utility", "weights"), [1.0, nan, 1.0, 1.0, 1.0, 1.0]),
+        ("tab.json", "table-weight-nan", ("prior", "rows", 1, "weight"), nan),
+    ):
+        with open(src) as fh:
+            doc = json.load(fh)
+        *path, last = keys
+        node = doc
+        for key in path:
+            node = node[key]
+        node[last] = value
+        with open(f"{name}.json", "w") as fh:
+            json.dump(doc, fh)
+        run("run", f"{name}.json", "greedy-cov" if "coverage" in doc else "greedy", "--k", "2")
+        if name.startswith("eta"):
+            run("verify", f"{name}.json", "eta")
 
 
 if __name__ == "__main__":

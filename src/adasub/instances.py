@@ -29,6 +29,7 @@ from .model import (
     TablePrior,
     UtilityFunction,
     cap_value,
+    check_finite,
 )
 
 # --- utility families --------------------------------------------------------
@@ -66,6 +67,7 @@ class CoverUtility(UtilityFunction):
                 raise MalformedInputError("item weight vector length must equal universe size")
             if any(w < 0 for w in weights):
                 raise MalformedInputError("item weights must be non-negative")
+            check_finite("item weight", weights)
         self.weights = weights
         self.name = "coverage"
         self._bits = tuple(
@@ -373,6 +375,17 @@ def _bags_capped_gain(free: list[int], seen: set[int], T: int, m: int, cap: floa
                      for (s, d), (_w, a) in states.items())
 
 
+def _hooks(prior: Prior, utility: UtilityFunction) -> dict[str, Any]:
+    """Instance keyword arguments naming the reveal rule and scorer hooks of a
+    (prior, utility) pair, read from the module globals at each call."""
+    if isinstance(prior, BagsPrior) and isinstance(utility, BagCountUtility):
+        return dict(reveal=_bags_reveal, fast_marginals=_bags_fast_marginals,
+                    fast_sav=_bags_fast_sav)
+    if isinstance(prior, ProductPrior) and isinstance(utility, CoverUtility):
+        return dict(zip(("fast_marginals", "fast_sav"), _cover_fast_hooks(prior, utility)))
+    return {}
+
+
 def build_bags(k: int, seed: int | None = None) -> Instance:
     """Ground set of 2^k − 1 elements in k bags of sizes 2^0..2^{k−1} under a
     uniformly random decomposition; value = distinct bags among selections;
@@ -387,16 +400,15 @@ def build_bags(k: int, seed: int | None = None) -> Instance:
         raise TooLargeError("bag count above 12 (ground set 2^k - 1 is unmanageable)")
     sizes = tuple(2**j for j in range(k))
     prior = BagsPrior(sizes)
+    utility = BagCountUtility()
     return Instance(
         name=f"bags-k{k}",
         n=prior.n,
         num_outcomes=k,
         prior=prior,
-        utility=BagCountUtility(),
+        utility=utility,
         coverage=CoverageSpec(quota=float(k), eta=1.0),
-        reveal=_bags_reveal,
-        fast_marginals=_bags_fast_marginals,
-        fast_sav=_bags_fast_sav,
+        **_hooks(prior, utility),
     )
 
 
@@ -581,7 +593,6 @@ def build_stochastic_cover(
                 covers[anchor][o].add(u)
     prior = ProductPrior(marginals)
     utility = CoverUtility(universe_size, [[sorted(s) for s in row] for row in covers])
-    fm, fs = _cover_fast_hooks(prior, utility)
     return Instance(
         name=f"cover-n{n}-u{universe_size}-m{m}-s{seed}",
         n=n,
@@ -589,8 +600,7 @@ def build_stochastic_cover(
         prior=prior,
         utility=utility,
         coverage=CoverageSpec(quota=float(universe_size), eta=1.0),
-        fast_marginals=fm,
-        fast_sav=fs,
+        **_hooks(prior, utility),
     )
 
 
@@ -802,12 +812,6 @@ def instance_from_doc(doc: dict[str, Any]) -> Instance:
             costs=tuple(float(c) for c in costs) if costs is not None else None,
         )
 
-    reveal = fm = fs = None
-    if isinstance(prior, BagsPrior) and isinstance(utility, BagCountUtility):
-        reveal, fm, fs = _bags_reveal, _bags_fast_marginals, _bags_fast_sav
-    elif isinstance(prior, ProductPrior) and isinstance(utility, CoverUtility):
-        fm, fs = _cover_fast_hooks(prior, utility)
-
     return Instance(
         name=name,
         n=n,
@@ -815,9 +819,7 @@ def instance_from_doc(doc: dict[str, Any]) -> Instance:
         prior=prior,
         utility=utility,
         coverage=coverage,
-        reveal=reveal,
-        fast_marginals=fm,
-        fast_sav=fs,
+        **_hooks(prior, utility),
     )
 
 

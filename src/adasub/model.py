@@ -44,6 +44,13 @@ def cap_value(name: str) -> int:
     return CAP_DEFAULTS[name]
 
 
+def check_finite(what: str, values: Iterable[float]) -> None:
+    """Reject NaN and +-inf among values read from input."""
+    for v in values:
+        if not math.isfinite(v):
+            raise MalformedInputError(f"{what} is not a finite number: {v!r}")
+
+
 Element = int
 Outcome = int
 Realization = tuple[int, ...]
@@ -241,6 +248,7 @@ class TablePrior(Prior):
                 raise MalformedInputError("realization rows have inconsistent lengths")
             if w < 0:
                 raise MalformedInputError(f"negative weight {w}")
+            check_finite("realization weight", [w])
             if w == 0:
                 continue
             merged[t] = merged.get(t, 0.0) + float(w)
@@ -344,6 +352,7 @@ class ProductPrior(Prior):
                 raise MalformedInputError("marginal rows have inconsistent lengths")
             if any(p < 0 for p in r):
                 raise MalformedInputError("negative marginal probability")
+            check_finite("marginal probability", r)
             total = math.fsum(r)
             if total <= 0:
                 raise MalformedInputError("marginal row sums to zero")
@@ -460,6 +469,9 @@ class CoverageSpec:
             raise MalformedInputError("eta must be positive")
         if self.costs is not None and any(c <= 0 for c in self.costs):
             raise MalformedInputError("element costs must be positive")
+        check_finite("coverage quota", [self.quota])
+        check_finite("eta", [self.eta])
+        check_finite("element cost", self.costs or ())
 
 
 @dataclass(frozen=True, eq=False)

@@ -67,11 +67,6 @@ def covered(inst: Instance, psi: PartialRealization) -> bool:
 # --- the greedy kernel, shared by every marginal-driven policy ---------------
 
 
-# Phases of a _Greedy kernel between two resumes: before its first decision,
-# after a Select, after a QUERY, and when the next resume ends the run.
-_START, _PICKED, _QUERIED, _END = range(4)
-
-
 class _Greedy:
     """The greedy loop behind every marginal-driven policy.
 
@@ -92,8 +87,11 @@ class _Greedy:
     observes the batch and ends the run.
 
     It is a generator written out (iter, next and send), so its state is
-    plain data: the view, the selected set, the pending batch, the trail and
-    the phase.  fork(ctx) copies that state onto another context, which lets
+    plain data: psi (built once per reply), the selected set, the pending
+    batch, the trail, ref and done.  psi holds through a batch, so the
+    batch's first decision settles the quota check and scores ref, the
+    reference term that "rig" gaps compare against; done ends the run at the
+    next resume.  fork(ctx) copies that state onto another context, which lets
     engine._walk go on from a split without replaying the steps before it.
     """
 
@@ -105,15 +103,16 @@ class _Greedy:
         self.inst, self.ctx, self.budget, self.every = inst, ctx, budget, every
         self.eps, self.gap, self.cover, self.accept = eps, gap, cover, accept
         self.cap = _goal(inst).quota if cover else None
-        self.view: dict[int, int] = {}
+        self.psi = EMPTY
         self.selected: set[int] = set()
         self.pending: list[int] = []
         self.trail: list[float] = []
-        self.phase = _START
+        self.ref = 0.0
+        self.done = False
 
     def fork(self, ctx: PolicyContext) -> "_Greedy":
         kid = copy.copy(self)
-        kid.ctx, kid.view, kid.selected = ctx, dict(self.view), set(self.selected)
+        kid.ctx, kid.selected = ctx, set(self.selected)
         kid.pending, kid.trail = list(self.pending), list(self.trail)
         return kid
 
@@ -124,19 +123,14 @@ class _Greedy:
         return self.send(None)
 
     def send(self, reply: dict[int, int] | None):
-        phase = self.phase
-        if phase == _QUERIED:
-            self.view.update(reply)
-            self.pending.clear()
-        elif phase == _PICKED:
-            if len(self.pending) >= self.every:
-                self.phase = _QUERIED
-                return QUERY
-        elif phase == _END:
+        if self.done:
             raise StopIteration
+        if reply is not None:  # a QUERY's answer: the protocol answers a Select with None
+            self.psi = self.psi.union(PartialRealization(reply))
+            self.pending.clear()
         action = self._decide()
         if action is None:
-            self.phase = _END
+            self.done = True
             raise StopIteration
         return action
 
@@ -144,13 +138,16 @@ class _Greedy:
         """The action at the top of the loop: a Select, a QUERY, or None to
         end the run."""
         inst, ctx, pending, selected, cover = self.inst, self.ctx, self.pending, self.selected, self.cover
-        psi = PartialRealization(self.view)
-        if cover and covered(inst, psi):
+        if len(pending) >= self.every > 0:
+            return QUERY
+        if not pending and cover and covered(inst, self.psi):
             return None
         stuck = len(selected) >= self.budget
         if not stuck:
             cands = [e for e in range(inst.n) if e not in selected]
-            scores, denom = _sav_and_denom(inst, psi, pending, cands, ctx, self.cap)
+            scores, denom = _sav_and_denom(inst, self.psi, pending, cands, ctx, self.cap)
+            if not pending:
+                self.ref = denom
             if not cover:
                 e, best = argmax_pairs(zip(cands, scores))
             else:
@@ -165,22 +162,19 @@ class _Greedy:
             return None
         observe = stuck  # with a batch outstanding, resolve it and look again
         if not stuck and self.eps is not None and pending:
-            ratio = _gap_ratio(inst, psi, scores, denom, self.gap, ctx, self.cap)
-            observe = ratio < 1.0 - self.eps - _EQ_TOL
+            top = max(scores) if self.gap == "ig" else self.ref
+            observe = _gap_ratio(top, denom) < 1.0 - self.eps - _EQ_TOL
         if observe:
-            self.phase = _QUERIED
             return QUERY
-        accept = self.accept
-        if accept is not None:
+        if self.accept is not None:
             self.trail.append(best)
-            if not accept(best):
+            if not self.accept(best):
                 if not pending:
                     return None
-                self.phase = _END
+                self.done = True
                 return QUERY
         selected.add(e)
         pending.append(e)
-        self.phase = _PICKED
         return Select(e)
 
 
@@ -349,8 +343,10 @@ def _sav_and_denom(
 
     Within one exact evaluation or calibration (ctx._memo set) a state is
     scored once: a call that did not read ctx.rng is kept, and later calls
-    on the same state get a copy of its scores.  So a scorer that adds a flag
-    must read ctx.rng in that call, or a kept call would drop it from later runs.
+    on the same state get a copy of its scores.  A bare kernel's walk meets
+    each state once; states met again come from a plain generator's replayed
+    log and from a policy's coin branches.  So a scorer that adds a flag must
+    read ctx.rng in that call, or a kept call would drop it from later runs.
     """
     memo = ctx._memo
     if memo is None:
@@ -463,34 +459,23 @@ def semi_adaptive_value(
     return savs[0]
 
 
-def _gap_ratio(
-    inst: Instance,
-    psi: PartialRealization,
-    scores: list[float],
-    denom: float,
-    gap: str,
-    ctx: PolicyContext,
-    cap: float | None,
-) -> float:
-    """Best batch score ("ig"), or best marginal on psi alone with pending
-    elements as candidates ("rig"), over the reference term denom; 1.0 when
-    denom vanishes.  "rig" scores its best marginal as the reference term of
-    an empty batch."""
-    if gap == "ig":
-        top = max(scores, default=0.0)
-    else:
-        top = _sav_and_denom(inst, psi, [], [e for e in range(inst.n) if e not in psi], ctx, cap)[1]
+def _gap_ratio(top: float, denom: float) -> float:
+    """top over the reference term denom; 1.0 when denom vanishes."""
     return 1.0 if denom <= 0.0 else top / denom
 
 
 def _gap(inst: Instance, state: SemiAdaptiveState, ctx: PolicyContext | None, gap: str) -> float:
-    """Gap ratio of a decision state; 1.0 when no candidate is left."""
+    """Gap ratio of a decision state; 1.0 when no candidate is left.  "rig"
+    scores its top term as the reference term of an empty batch."""
     ctx = ctx or PolicyContext(seed=EXACT_SEED)
     pending = list(state.pending)
     blocked = set(state.psi.domain) | set(pending)
     cands = [e for e in range(inst.n) if e not in blocked]
     savs, denom = _sav_and_denom(inst, state.psi, pending, cands, ctx)
-    return _gap_ratio(inst, state.psi, savs, denom, gap, ctx, None)
+    if gap == "ig":
+        return _gap_ratio(max(savs, default=0.0), denom)
+    rest = [e for e in range(inst.n) if e not in state.psi]
+    return _gap_ratio(_sav_and_denom(inst, state.psi, [], rest, ctx)[1], denom)
 
 
 def information_gap(

@@ -2,6 +2,7 @@
 import csv
 import io
 import json
+import math
 import subprocess
 import sys
 
@@ -424,6 +425,36 @@ def test_non_finite_float_is_malformed(argv, error, bags3_file, workdir, capsys)
              "instance": {"file": bags3_file}, "l": 2, "eps": float("nan")}
     subs = {"BAGS": bags3_file, "SWEEP": _write_config(workdir, [sweep])}
     assert run_cli(*(subs.get(a, a) for a in argv)) == EXIT_MALFORMED
+    assert capsys.readouterr().err == f"adasub: error: {error}\n"
+
+
+@pytest.mark.parametrize("gen, keys, value, error", [
+    ("cover", ("coverage", "quota"), math.nan, "coverage quota is not a finite number: nan"),
+    ("cover", ("coverage", "eta"), math.inf, "eta is not a finite number: inf"),
+    ("cover", ("coverage", "costs"), [1.0, math.inf, 1.0],
+     "element cost is not a finite number: inf"),
+    ("cover", ("prior", "marginals", 1, 0), math.nan,
+     "marginal probability is not a finite number: nan"),
+    ("cover", ("utility", "weights"), [1.0, 1.0, math.nan, 1.0],
+     "item weight is not a finite number: nan"),
+    ("tabular", ("prior", "rows", 0, "weight"), math.nan,
+     "realization weight is not a finite number: nan"),
+])
+def test_non_finite_instance_number_is_malformed(gen, keys, value, error, workdir, capsys):
+    size = ("--universe", "4") if gen == "cover" else ("--m", "4")
+    run_cli("gen", gen, "--n", "3", *size, "--out", "inst.json")
+    with open("inst.json") as fh:
+        doc = json.load(fh)
+    doc.setdefault("coverage", {"quota": 1.0})
+    *path, last = keys
+    node = doc
+    for key in path:
+        node = node[key]
+    node[last] = value
+    with open("inst.json", "w") as fh:
+        json.dump(doc, fh)
+    capsys.readouterr()
+    assert run_cli("run", "inst.json", "greedy", "--k", "1") == EXIT_MALFORMED
     assert capsys.readouterr().err == f"adasub: error: {error}\n"
 
 

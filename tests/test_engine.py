@@ -427,7 +427,7 @@ def test_forking_scores_fewer_states_than_restarting(monkeypatch):
     score = policies._sav_and_denom
     monkeypatch.setattr(policies, "_sav_and_denom", lambda *args: calls.append(1) or score(*args))
     for base, bare, wrapped in ((greedy_max(4), 15, 64),
-                                (semi_adaptive_greedy_coverage(eps=0.2), 14, 1792)):
+                                (semi_adaptive_greedy_coverage(eps=0.2), 8, 1024)):
 
         def play(inst, ctx, play=base.play):
             yield from play(inst, ctx)

@@ -352,6 +352,20 @@ def test_coverage_spec_validation():
         CoverageSpec(quota=1.0, costs=(1.0, -1.0))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_input_is_malformed(bad):
+    for make, what in (
+        (lambda: CoverageSpec(quota=bad), "coverage quota"),
+        (lambda: CoverageSpec(quota=1.0, eta=bad), "eta"),
+        (lambda: CoverageSpec(quota=1.0, costs=(1.0, bad)), "element cost"),
+        (lambda: ProductPrior([[0.5, 0.5], [bad, 0.5]]), "marginal probability"),
+        (lambda: TablePrior([((0,), 1.0), ((1,), bad)]), "realization weight"),
+        (lambda: CoverUtility(2, [[[0], [1]]], weights=[1.0, bad]), "item weight"),
+    ):
+        with pytest.raises(MalformedInputError, match=f"^{what} is not a finite number: {bad}$"):
+            make()
+
+
 def test_cover_utility_values():
     u = CoverUtility(3, [[[0, 1], [2]], [[1], []]])
     assert u(EMPTY) == 0.0

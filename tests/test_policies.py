@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from adasub import engine, policies
 from adasub.engine import (
     EXACT_SEED,
+    Policy,
     PolicyContext,
     c_avg_exact,
     evaluate_exact,
@@ -238,6 +239,46 @@ def test_bags_sav_closed_form(bags2):
     st0 = SemiAdaptiveState.make(EMPTY, (0,))
     assert math.isclose(semi_adaptive_value(bags2, st0, 1), 2.0 / 3.0, abs_tol=1e-12)
     assert math.isclose(information_gap(bags2, st0), 1.0, abs_tol=1e-12)
+
+
+def _correlated_table() -> Instance:
+    # Not adaptive submodular: observing one element tells which others pay,
+    # so both gaps drop to 0.5 on the first batch and later batches follow.
+    prior = TablePrior([((0, 1, 0, 1), 0.5), ((1, 0, 1, 0), 0.5)])
+    return Instance(name="corr", n=4, num_outcomes=2, prior=prior,
+                    utility=ModularUtility([[0.0, 1.0]] * 4))
+
+
+@pytest.mark.parametrize("build", [lambda: build_stochastic_cover(8, 16, 2, seed=0),
+                                   lambda: build_bags(3), _correlated_table],
+                         ids=["cover", "bags", "correlated"])
+@pytest.mark.parametrize("gap, public", [("ig", information_gap),
+                                         ("rig", restricted_information_gap)])
+def test_kernel_gap_decisions_equal_the_public_gaps(monkeypatch, build, gap, public):
+    # The kernel's "rig" compares against the reference term kept from the
+    # batch's first decision; the public gap scores the same state afresh.
+    inst = build()
+    base = semi_adaptive_greedy_max(4, 0.05, gap)
+    kernels, seen = [], []
+    ratio = policies._gap_ratio
+
+    def play(inst, ctx):
+        kernels.append(base.play(inst, ctx))
+        return kernels[-1]
+
+    def recorded(top, denom):
+        k = kernels[-1]
+        seen.append((ratio(top, denom),
+                     SemiAdaptiveState(k.psi, tuple(k.selected), tuple(k.pending))))
+        return seen[-1][0]
+
+    with monkeypatch.context() as m:
+        m.setattr(policies, "_gap_ratio", recorded)
+        for phi, _w in inst.prior.support():
+            run_policy(Policy(name=base.name, play=play), inst, phi)
+    assert seen
+    for got, state in seen:
+        assert got == public(inst, state), state
 
 
 # --- semi-adaptive policies ----------------------------------------------------------
