@@ -8,22 +8,25 @@ combinators too.  _Run checks the actions of every policy, and of every
 combinator's inner policies.
 
 One driver, _walk, runs every policy.  It walks the policy tree: one run
-starts with a list of realization rows, at each QUERY the rows split by
-reply, and every part goes on from a live run forked at the split.  A
-generator with fork(ctx) (the greedy kernel behind every marginal-driven
-policy) is forked onto a fork of its context that carries the rng state and
-flags; any other generator (the combinators, a fixed sequence, the DP
-policies, user code) logs each reply it was sent with the action it yielded,
-and its fork is a fresh start fed that log.  A plain run (run_policy,
+starts with a list of realization rows, at each QUERY the rows split by reply,
+and every part goes on from a live run forked at the split.  Without a reveal
+hook a reply is the rows' outcomes on the pending batch, so the rows split by
+those and _reply builds one reply per part; under a hook _reply answers each
+row.  A generator with fork(ctx) (the greedy kernel behind every
+marginal-driven policy) is forked onto a fork of its context that carries the
+rng state and flags; any other generator (the combinators, a fixed sequence,
+the DP policies, user code) logs each reply it was sent with the action it
+yielded, and its fork is a fresh start fed that log.  A plain run (run_policy,
 evaluate_mc, the Monte Carlo verifiers) is the walk over one row, on the
-caller's seed and with no scorer memo; one row never splits.  Exact evaluation and threshold calibration walk
-the prior support (times the seed space, capped at max_support) at a fixed
-seed.  Every QUERY is answered by _reply.  So in exact mode a policy's
-actions must depend only on theta, ctx.rng and the replies; one that yields
-other actions when fed its log raises PolicyBugError.  Within one exact
-evaluation each decision state is scored once; a scorer call that drew from
-ctx.rng is recomputed on every replay, and a fork goes on from the rng state
-at its split, so sampled scores and their flags stay those of a plain run.
+caller's seed and with no scorer memo.  Exact evaluation and threshold
+calibration walk the prior support (times the seed space, capped at
+max_support) at a fixed seed; an exact row's value is one utility call per
+outcome tuple of its leaf.  So in exact mode a policy's actions must depend
+only on theta, ctx.rng and the replies; one that yields other actions when fed
+its log raises PolicyBugError.  Within one exact evaluation each decision
+state is scored once; a scorer call that drew from ctx.rng is recomputed on
+every replay, and a fork goes on from the rng state at its split, so sampled
+scores and their flags stay those of a plain run.
 """
 from __future__ import annotations
 
@@ -187,31 +190,27 @@ def _reply(inst: Instance, phi: Realization, pending: list[int], observed: dict[
     return tuple(sorted(reply.items())), tuple(newly.items())
 
 
-def _execute(
-    policy: Policy,
-    inst: Instance,
-    phi: Realization,
-    theta: Any,
-    rng_seed: int,
-    collect_rounds: bool = False,
-) -> PolicyTrace:
+def _execute(policy: Policy, inst: Instance, phi: Realization, theta: Any, rng_seed: int,
+             collect_rounds: bool = False) -> PolicyTrace:
     """One plain run against phi: the _walk over the single row phi, on the
     caller's seed and with no memo.  A single row never splits."""
     (leaf,) = _walk(policy, inst, [(0, phi, 1.0)], theta, None, rng_seed)
-    return _trace(inst, phi, leaf, inst.utility(EMPTY), collect_rounds)
+    return _trace(inst, phi, leaf, collect_rounds)
 
 
 EXACT_SEED = 0x5EED  # fixed internal seed so exact mode stays deterministic
 
 
-def run_policy(
-    policy: Policy,
-    inst: Instance,
-    phi: Realization,
-    seed: int = 0,
-    collect_rounds: bool = False,
-) -> PolicyTrace:
-    """Run a policy against one realization; deterministic given (policy, phi, seed)."""
+def run_policy(policy: Policy, inst: Instance, phi: Realization, seed: int = 0,
+               collect_rounds: bool = False) -> PolicyTrace:
+    """Run a policy against one realization; deterministic given (policy, phi, seed).
+    phi must be n labels in range (else MalformedInputError) with prior mass
+    (else InconsistentObservationError)."""
+    if len(phi) != inst.n or not all(0 <= o < inst.num_outcomes for o in phi):
+        raise MalformedInputError(f"{phi!r} is not {inst.n} outcomes in range({inst.num_outcomes})")
+    psi = PartialRealization(enumerate(phi))
+    if not inst.prior.mass(psi) > 0:
+        inst.prior.condition(psi)  # raises on zero mass; a long product's mass can underflow
     if len(policy.seed_space) == 1:
         theta = policy.seed_space[0][0]
     else:
@@ -368,9 +367,8 @@ def _checked_support(inst: Instance, branches: int) -> list[tuple[int, Realizati
     cap = cap_value("max_support")
     size = inst.prior.support_size() * branches
     if size > cap:
-        raise TooLargeError(
-            f"exact evaluation needs {size} traces (support x seed branches), cap {cap}"
-        )
+        raise TooLargeError(f"exact evaluation needs {size} traces (support x seed branches),"
+                            f" cap {cap}")
     return [(j, phi, w) for j, (phi, w) in enumerate(inst.prior.support())]
 
 
@@ -378,19 +376,18 @@ def _walk(policy: Policy, inst: Instance, rows: list, theta: Any, memo: dict | N
           seed: int = EXACT_SEED):
     """Leaves of the policy tree on coin theta over rows (index, phi, weight):
     each leaf's rows, with the selections, cost, round marks and observations
-    they share, and the context and generator of the run that ended there.
-    This one loop drives every policy: a plain run is the walk over one row
-    on the caller's seed with no memo; exact evaluation and threshold
-    calibration walk the support.  A run starts with every row; at each QUERY
-    its rows split by reply (and by what it newly reveals), and each part goes
-    on, with copies of the bookkeeping and its own reply, from a live run
+    they share, and the context and generator of the run that ended there.  A
+    run starts with every row; at each QUERY its rows split by reply (and by
+    what it newly reveals): with no reveal hook by their outcomes on the
+    pending batch, one _reply per part, else by each row's _reply.  Each part
+    goes on, with copies of the bookkeeping and its own reply, from a live run
     forked at the split: a generator with fork(ctx) forks onto ctx.fork(); any
-    other logs (reply sent, action) as it runs and forks by starting again on
-    a fresh context (so ctx.rng draws as in a plain run; draw-free scores come
+    other logs (reply sent, action) as it runs and forks by starting again on a
+    fresh context (so ctx.rng draws as in a plain run; draw-free scores come
     from memo) fed that log, raising PolicyBugError if the policy then yields
     other actions or ends.  A round is a QUERY that revealed something new,
-    marked by len(observed) after it, so the observations up to each round
-    are a prefix of the insertion-ordered observed.
+    marked by len(observed) after it, so the observations up to each round are
+    a prefix of the insertion-ordered observed.
     """
     def start():
         ctx = PolicyContext(theta=theta, seed=seed)
@@ -435,8 +432,14 @@ def _walk(policy: Policy, inst: Instance, rows: list, theta: Any, memo: dict | N
                 cost += inst.cost(e)
                 continue
             parts: dict = {}
-            for row in group:
-                parts.setdefault(_reply(inst, row[1], pending, observed), []).append(row)
+            if inst.reveal is None:  # a reply is the pending outcomes: one _reply per part
+                for row in group:
+                    parts.setdefault(tuple([row[1][p] for p in pending]), []).append(row)
+                parts = {_reply(inst, part[0][1], pending, observed): part
+                         for part in parts.values()}
+            else:
+                for row in group:
+                    parts.setdefault(_reply(inst, row[1], pending, observed), []).append(row)
             (key, group), *rest = parts.items()
             for k, part in rest:
                 stack.append((part, *fork(run, ctx), list(selected), dict(observed),
@@ -447,12 +450,12 @@ def _walk(policy: Policy, inst: Instance, rows: list, theta: Any, memo: dict | N
             yield group, selected, cost, marks, observed, ctx, run.gen
 
 
-def _trace(inst: Instance, phi: Realization, leaf: tuple, empty: float,
+def _trace(inst: Instance, phi: Realization, leaf: tuple,
            collect_rounds: bool = False) -> PolicyTrace:
     """The trace of a _walk leaf against its row phi; value and gains come
-    from the utility of each selection prefix, `empty` being f of none."""
+    from the utility of each selection prefix."""
     _group, selected, cost, marks, observed, ctx, _gen = leaf
-    psi, vals = EMPTY, [empty]
+    psi, vals = EMPTY, [inst.utility(EMPTY)]
     for e in selected:
         psi = psi.extend(e, phi[e])
         vals.append(inst.utility(psi))
@@ -473,41 +476,37 @@ def _trace(inst: Instance, phi: Realization, leaf: tuple, empty: float,
     )
 
 
-def _exact_traces(
-    policy: Policy, inst: Instance
-) -> Iterator[tuple[tuple[int, int], float, PolicyTrace]]:
-    """((support row, seed branch), weight, trace) over prior support x policy
-    seed branches at EXACT_SEED, streamed leaf by leaf of each branch's _walk.
-    A leaf's rows share one trace per outcome tuple on its selections.  All
-    runs share one scorer memo, so a state met again when a fork replays its
-    log is not scored again."""
+def _exact_rows(policy: Policy, inst: Instance) -> Iterator[tuple]:
+    """((support row, seed branch), weight, value, _walk leaf) over prior support
+    x policy seed branches at EXACT_SEED, leaf by leaf.  A row's value is f of
+    its outcomes on the leaf's selections: one utility call per outcome tuple.
+    All runs share one scorer memo, so a fork that replays its log does not
+    score a state again."""
     rows = _checked_support(inst, len(policy.seed_space))
-    empty = inst.utility(EMPTY)
     memo: dict = {}
-    branches = [(b, theta, pt) for b, (theta, pt) in enumerate(policy.seed_space) if pt > 0]
-    for b, theta, pt in branches:
+    for b, (theta, pt) in enumerate(policy.seed_space):
+        if pt <= 0:
+            continue
         for leaf in _walk(policy, inst, rows, theta, memo):
-            group, selected, *_ = leaf
-            traces: dict[tuple[int, ...], PolicyTrace] = {}
+            group, selected = leaf[0], leaf[1]
+            values: dict[tuple[int, ...], float] = {}
             for j, phi, w in group:
-                outs = tuple(phi[e] for e in selected)
-                tr = traces.get(outs)
-                if tr is None:
-                    tr = traces[outs] = _trace(inst, phi, leaf, empty)
-                yield (j, b), w * pt, tr
+                outs = tuple([phi[e] for e in selected])
+                v = values.get(outs)
+                if v is None:
+                    v = values[outs] = inst.utility(PartialRealization(zip(selected, outs)))
+                yield (j, b), w * pt, v, leaf
 
 
 def evaluate_exact(policy: Policy, inst: Instance) -> EvalReport:
     """Exact expectations by enumerating prior support x policy seed branches."""
-    f_terms: list[float] = []
-    c_terms: list[float] = []
-    r_terms: list[float] = []
+    f_terms, c_terms, r_terms = [], [], []
     flags: set[str] = set()
-    for _row, w, tr in _exact_traces(policy, inst):
-        f_terms.append(w * tr.value)
-        c_terms.append(w * tr.cost)
-        r_terms.append(w * tr.rounds)
-        flags.update(tr.flags)
+    for _row, w, v, (_group, _sel, cost, marks, _obs, ctx, _gen) in _exact_rows(policy, inst):
+        f_terms.append(w * v)
+        c_terms.append(w * cost)
+        r_terms.append(w * len(marks))
+        flags.update(ctx.flags)
     return EvalReport(
         policy=policy.name,
         instance=inst.name,

@@ -378,11 +378,11 @@ class ProductPrior(Prior):
         return size
 
     def support(self) -> Iterator[tuple[Realization, float]]:
-        for combo in itertools.product(*self._nonzero):
-            w = 1.0
-            for _, p in combo:
-                w *= p
-            yield tuple(o for o, _ in combo), w
+        # Lazy, as the support can be far too large to list; math.prod
+        # multiplies left to right from 1, so each weight is the running product.
+        labels = [[o for o, _p in nz] for nz in self._nonzero]
+        probs = [[p for _o, p in nz] for nz in self._nonzero]
+        return zip(itertools.product(*labels), map(math.prod, itertools.product(*probs)))
 
     def sample(self, rng) -> Realization:
         us = rng.random(self.n)

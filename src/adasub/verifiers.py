@@ -18,7 +18,7 @@ from .engine import (
     Policy,
     _cached_marginals,
     _csv,
-    _exact_traces,
+    _exact_rows,
     cap_value,
     concat,
     f_avg_exact,
@@ -200,9 +200,9 @@ def verify_eta(inst: Instance) -> BoundCheckResult:
 def _value_and_count(policy: Policy, inst: Instance) -> tuple[float, float]:
     """Exact f_avg and expected selection count of a policy, from one pass."""
     f_terms, k_terms = [], []
-    for _row, w, tr in _exact_traces(policy, inst):
-        f_terms.append(w * tr.value)
-        k_terms.append(w * len(tr.selected))
+    for _row, w, v, leaf in _exact_rows(policy, inst):
+        f_terms.append(w * v)
+        k_terms.append(w * len(leaf[1]))
     return math.fsum(f_terms), math.fsum(k_terms)
 
 

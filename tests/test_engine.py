@@ -22,7 +22,8 @@ from adasub.engine import (
     _Run,
     _checked_support,
     _execute,
-    _exact_traces,
+    _exact_rows,
+    _trace,
     _walk,
     argmax_pairs,
     c_avg_exact,
@@ -37,7 +38,13 @@ from adasub.engine import (
     run_policy,
     truncate,
 )
-from adasub.errors import AlreadyObservedError, MalformedInputError, PolicyBugError, TooLargeError
+from adasub.errors import (
+    AlreadyObservedError,
+    InconsistentObservationError,
+    MalformedInputError,
+    PolicyBugError,
+    TooLargeError,
+)
 from adasub.instances import (
     ModularUtility,
     build_bags,
@@ -45,7 +52,7 @@ from adasub.instances import (
     build_stochastic_cover,
     build_truncation_pair,
 )
-from adasub.model import EMPTY, CoverageSpec, Instance, PartialRealization, TablePrior
+from adasub.model import EMPTY, CoverageSpec, Instance, PartialRealization, ProductPrior, TablePrior
 from adasub.policies import (
     fixed_batch_greedy,
     fixed_sequence_policy,
@@ -112,6 +119,28 @@ def test_query_response_covers_all_pending(anti_inst):
 
     run_policy(Policy(name="peek", play=play), anti_inst, (1, 0))
     assert seen["resp"] == {0: 1, 1: 0}
+
+
+@pytest.mark.parametrize("phi", [(0,), (0, 0, 0, 5), (0, 0, 0, -1)],
+                         ids=["short", "label-past-range", "negative-label"])
+def test_run_policy_rejects_a_realization_that_is_not_n_labels_in_range(phi):
+    inst = build_stochastic_cover(4, 8, 2, 0)
+    with pytest.raises(MalformedInputError):
+        run_policy(greedy_max(4), inst, phi)
+
+
+def test_run_policy_rejects_a_realization_of_zero_prior_mass():
+    # Seven items in bags of sizes (1, 2, 4) cannot all share bag 0.
+    with pytest.raises(InconsistentObservationError):
+        run_policy(greedy_max(4), build_bags(3), (0,) * 7)
+
+
+def test_run_policy_accepts_a_realization_whose_product_mass_underflows():
+    n = 1100
+    inst = Instance(name="long", n=n, num_outcomes=2, prior=ProductPrior([[0.5, 0.5]] * n),
+                    utility=ModularUtility([[0.0, 1.0]] * n))
+    assert inst.prior.mass(PartialRealization(enumerate((1,) * n))) == 0.0
+    assert run_policy(fixed_sequence_policy([0, 1]), inst, (1,) * n).value == 2.0
 
 
 def test_requery_already_revealed_is_not_a_round(bags2):
@@ -252,9 +281,15 @@ def _plain_traces(policy, inst):
 
 
 def _rows_in_order(policy, inst):
-    """The (weight, trace) rows of _exact_traces, in _plain_traces' order."""
-    rows = sorted(_exact_traces(policy, inst), key=lambda row: row[0])
-    return [(w, tr) for _key, w, tr in rows]
+    """The (weight, trace) rows of _exact_rows, in _plain_traces' order: each
+    row's trace is _trace of its leaf, and the row's value is the trace's."""
+    phis = [phi for phi, _w in inst.prior.support()]
+    out = []
+    for (j, _b), w, value, leaf in sorted(_exact_rows(policy, inst), key=lambda row: row[0]):
+        tr = _trace(inst, phis[j], leaf)
+        assert value == tr.value, (policy.name, j)
+        out.append((w, tr))
+    return out
 
 
 def _plain_report(policy, inst):
@@ -461,6 +496,44 @@ def test_a_plain_generator_is_forked_without_re_walking_its_path(monkeypatch, bu
         calls.clear()
         assert evaluate_exact(Policy(name=base.name, play=play), inst) == rep
         assert len(calls) == bare, base.name
+
+
+@pytest.mark.parametrize("build", [lambda: build_stochastic_cover(6, 12, 2, seed=3),
+                                   lambda: build_stochastic_cover(6, 12, 3, seed=4),
+                                   lambda: build_random_tabular(4, 6, 0)],
+                         ids=["cover-m2", "cover-m3", "tab-s0"])
+def test_split_by_pending_outcomes_equals_the_per_row_reply(build):
+    # A reveal hook that reveals only the queried element gives the hook-less
+    # replies, but makes the walk build a _reply for every row.
+    inst = build()
+    hooked = dataclasses.replace(inst, reveal=lambda phi, e: [(e, phi[e])])
+    rows = _checked_support(inst, 1)
+
+    def leaves(pol, inst, theta):
+        return [([j for j, _phi, _w in group], selected, cost, marks, list(observed.items()))
+                for group, selected, cost, marks, observed, _ctx, _gen
+                in _walk(pol, inst, rows, theta, {})]
+
+    for pol in _every_policy(inst, 3):
+        for theta, _pt in pol.seed_space:
+            assert leaves(pol, hooked, theta) == leaves(pol, inst, theta), pol.name
+        assert evaluate_exact(pol, hooked) == evaluate_exact(pol, inst), pol.name
+
+
+@pytest.mark.parametrize("build, counts",
+                         [(lambda: build_stochastic_cover(8, 16, 2, seed=0), (30, 128)),
+                          (lambda: build_bags(3), (420, 105))], ids=["cover", "bags"])
+def test_reply_is_built_once_per_part_without_a_reveal_hook(monkeypatch, build, counts):
+    # greedy(4) on the 256-row cover splits into 2 + 4 + 8 + 16 parts; the
+    # bags' reveal hook keeps one _reply per row of each split.
+    inst = build()
+    calls = []
+    reply = engine._reply
+    monkeypatch.setattr(engine, "_reply", lambda *args: calls.append(1) or reply(*args))
+    for base, want in zip((greedy_max(4), semi_adaptive_greedy_coverage(eps=0.2)), counts):
+        calls.clear()
+        evaluate_exact(base, inst)
+        assert len(calls) == want, base.name
 
 
 def test_exact_scores_each_state_once():

@@ -11,7 +11,7 @@ from adasub.errors import (
     MalformedInputError,
     TooLargeError,
 )
-from adasub.instances import BagsPrior, CoverUtility, ModularUtility
+from adasub.instances import BagsPrior, CoverUtility, ModularUtility, build_stochastic_cover
 from adasub.model import (
     EMPTY,
     CoverageSpec,
@@ -220,6 +220,37 @@ def test_product_basics():
     assert math.isclose(total, 1.0, abs_tol=1e-12)
     assert math.isclose(p.mass(PartialRealization([(1, 1), (2, 0)])), 0.75)
     assert math.isclose(p.min_weight(), 0.125)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_product_support_is_the_sequential_product(m):
+    rng = np.random.default_rng(m)
+    zero_mass = 0
+    for _ in range(20):
+        n = int(rng.integers(1, 7))
+        marg = rng.random((n, m)) * (rng.random((n, m)) < 0.7)
+        marg[np.arange(n), rng.integers(0, m, n)] += 0.1  # every element keeps an outcome
+        zero_mass += int((marg == 0).sum())
+        prior = ProductPrior(marg.tolist())
+        # Odometer order (last element fastest), zero-mass outcomes skipped,
+        # each weight a running product from 1.0.
+        rows = [((), 1.0)]
+        for probs in prior.marginals:
+            rows = [(phi + (o,), w * q) for phi, w in rows for o, q in enumerate(probs) if q > 0]
+        support = list(prior.support())
+        assert support == rows
+        assert prior.support_size() == len(support)
+    assert zero_mass > 0 or m == 1
+
+
+def test_product_support_is_lazy():
+    prior = build_stochastic_cover(32, 64, 2, 0).prior
+    assert prior.support_size() == 2**32
+    phi, w = next(iter(prior.support()))
+    want = 1.0
+    for row in prior.marginals:
+        want *= row[0]
+    assert phi == (0,) * 32 and w == want
 
 
 def test_product_independence_and_condition():
