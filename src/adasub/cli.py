@@ -13,7 +13,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from typing import Any
 
 from .engine import (
@@ -458,6 +457,7 @@ def cmd_experiment(args) -> int:
         raise MalformedInputError("experiment config must be an object with a sweeps array")
     sweeps = config.get("sweeps", [])
     if args.jobs > 1 and len(sweeps) > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             row_blocks = list(pool.map(_sweep_rows, sweeps))
     else:

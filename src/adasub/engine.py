@@ -37,8 +37,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator, Sequence
 from weakref import WeakKeyDictionary
 
-import numpy as np
-
 from .errors import PolicyBugError, TooLargeError, MalformedInputError
 from .model import (
     CAP_DEFAULTS,  # noqa: F401 -- kept importable as engine.CAP_DEFAULTS
@@ -95,6 +93,7 @@ class PolicyContext:
     def rng(self) -> np.random.Generator:
         self._draws += 1
         if self._rng is None:
+            import numpy as np
             self._rng = np.random.default_rng(self.seed)
         return self._rng
 
@@ -111,6 +110,7 @@ class PolicyContext:
         kid = PolicyContext(theta=self.theta, seed=self.seed, flags=set(self.flags))
         kid._memo, kid._draws = self._memo, self._draws
         if self._rng is not None:
+            import numpy as np
             kid._rng = np.random.default_rng(self.seed)
             kid._rng.bit_generator.state = self._rng.bit_generator.state
         return kid
@@ -208,12 +208,13 @@ def run_policy(policy: Policy, inst: Instance, phi: Realization, seed: int = 0,
     (else InconsistentObservationError)."""
     if len(phi) != inst.n or not all(0 <= o < inst.num_outcomes for o in phi):
         raise MalformedInputError(f"{phi!r} is not {inst.n} outcomes in range({inst.num_outcomes})")
-    psi = PartialRealization(enumerate(phi))
+    psi = PartialRealization(dict(enumerate(phi)))
     if not inst.prior.mass(psi) > 0:
         inst.prior.condition(psi)  # raises on zero mass; a long product's mass can underflow
     if len(policy.seed_space) == 1:
         theta = policy.seed_space[0][0]
     else:
+        import numpy as np
         theta = _draw_theta(policy, float(np.random.default_rng(seed).random()))
     return _execute(policy, inst, phi, theta, rng_seed=seed, collect_rounds=collect_rounds)
 
@@ -539,6 +540,7 @@ def evaluate_mc(policy: Policy, inst: Instance, samples: int, seed: int) -> Eval
     """Monte Carlo expectations; deterministic given the seed."""
     if samples < 1:
         raise MalformedInputError("samples must be >= 1")
+    import numpy as np
     rng = np.random.default_rng(seed)
     vals = np.empty(samples)
     costs = np.empty(samples)

@@ -11,8 +11,6 @@ import json
 import math
 from typing import Any, Iterable, Sequence
 
-import numpy as np
-
 from .errors import (
     InconsistentObservationError,
     MalformedInputError,
@@ -107,6 +105,7 @@ class CoverUtility(UtilityFunction):
     def grid(self) -> np.ndarray:
         """(n, m, U) float mask grid, item weights folded in; built lazily."""
         if self._grid is None:
+            import numpy as np
             n = len(self.covers)
             m = self.num_outcomes()
             g = np.zeros((n, m, self.universe))
@@ -230,6 +229,7 @@ class BagsPrior(Prior):
     def sample(self, rng) -> Realization:
         if len(self._base) == 0:
             # Unconditioned: lay bag labels over a random permutation.
+            import numpy as np
             perm = rng.permutation(self.n)
             labels = np.repeat(np.arange(self.num_outcomes), self.sizes)
             out = np.empty(self.n, dtype=int)
@@ -266,24 +266,22 @@ class BagsPrior(Prior):
         return BagsPrior(self.sizes, _base=self._merged(psi))
 
     def mass(self, psi: PartialRealization) -> float:
-        try:
-            merged = self._merged(psi)
-        except InconsistentObservationError:
-            return 0.0
-        try:
-            free = self._check(merged)
-        except InconsistentObservationError:
-            return 0.0
-        # Sequential slot draws for the part of psi beyond the base.
-        base_free = self._check(self._base)
+        # Sequential slot draws for the part of psi beyond the base; 0 if psi
+        # disagrees with the base, names no bag or overfills one.
+        base = dict(self._base.pairs)
+        free, k = self._check(self._base), self.num_outcomes
         p = 1.0
-        left = self.n - len(self._base)
-        free_now = list(base_free)
+        left = self.n - len(base)
         for e, o in psi.pairs:
-            if e in self._base:
+            if e in base:
+                if base[e] != o:
+                    return 0.0
                 continue
-            p *= free_now[o] / left
-            free_now[o] -= 1
+            c = free[o] if 0 <= o < k else 0
+            if not c:
+                return 0.0
+            p *= c / left
+            free[o] = c - 1
             left -= 1
         return p
 
@@ -428,6 +426,7 @@ class _CoverTables:
     """Arrays behind the cover scorer of one instance, built on first use."""
 
     def __init__(self, prior: ProductPrior, utility: CoverUtility):
+        import numpy as np
         n, U = prior.n, utility.universe
         m = utility.num_outcomes()
         self.cover = utility.grid() > 0  # (n, m, U)
@@ -467,6 +466,7 @@ def _cover_fast_hooks(prior: ProductPrior, utility: CoverUtility):
     E_b[max_e marginal] and quota-capped scores walk the batch's joint
     branches: enumerated under the branch cap, sampled past it ("sav-mc").
     """
+    import numpy as np
 
     n = prior.n
     U = utility.universe
@@ -571,6 +571,7 @@ def build_stochastic_cover(
         raise MalformedInputError("sizes cannot be negative")
     if outcomes_per_element < 1:
         raise MalformedInputError("need at least one outcome per element")
+    import numpy as np
     rng = np.random.default_rng(seed)
     m = outcomes_per_element
     marginals = []
@@ -626,6 +627,7 @@ def build_random_tabular(
         raise MalformedInputError(f"support size must lie in [1, 2^{n}]")
     if universe_size is None:
         universe_size = max(4, 2 * n)
+    import numpy as np
     rng = np.random.default_rng([seed, 0])
     picks = rng.choice(2**n, size=m_realizations, replace=False)
     rows = []

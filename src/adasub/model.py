@@ -62,17 +62,16 @@ class PartialRealization:
     __slots__ = ("_pairs", "_map")
 
     def __init__(self, pairs: Iterable[tuple[int, int]] | dict[int, int] = ()):
-        if isinstance(pairs, dict):
-            items = pairs.items()
-        else:
-            items = list(pairs)
         m: dict[int, int] = {}
-        for e, o in items:
-            if e in m and m[e] != o:
-                raise InconsistentObservationError(
-                    f"conflicting outcomes for element {e}: {m[e]} vs {o}"
-                )
-            m[e] = o
+        if isinstance(pairs, dict):
+            m.update(pairs)
+        else:
+            for e, o in pairs:
+                if e in m and m[e] != o:
+                    raise InconsistentObservationError(
+                        f"conflicting outcomes for element {e}: {m[e]} vs {o}"
+                    )
+                m[e] = o
         self._map = m
         self._pairs = tuple(sorted(m.items()))
 

@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
-import numpy as np
-
 from .engine import (
     Policy,
     _cached_marginals,
@@ -355,6 +353,7 @@ def measure_superround_decay(
     if policy is None:
         policy = semi_adaptive_greedy_max(inst.n, eps)
     t_plus = t + math.ceil(math.log(inst.n / delta) / math.log(1.0 / (1.0 - eps / 2.0)))
+    import numpy as np
     rng = np.random.default_rng(seed)
 
     def best_marginal(view: PartialRealization) -> float:
@@ -416,6 +415,7 @@ def verify_round_complexity(
         raise MalformedInputError("trials must be >= 1")
     rows: list[BoundCheckResult] = []
     ratios: list[float] = []
+    import numpy as np
     rng = np.random.default_rng(seed)
     for inst in instances:
         k = k_for(inst.n)
@@ -446,6 +446,7 @@ def verify_hardness(k: int, r: int, trials: int, seed: int = 0) -> list[BoundChe
     if trials < 2:
         raise MalformedInputError("need at least two trials")
     inst = build_bags(k)
+    import numpy as np
     rng = np.random.default_rng(seed)
     greedy = greedy_max(k)
     batch = fixed_batch_greedy(r, k)

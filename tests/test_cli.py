@@ -3,11 +3,13 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 
 import pytest
 
+import adasub
 from adasub.cli import (
     EXIT_FAILED,
     EXIT_INFEASIBLE,
@@ -512,3 +514,59 @@ def test_console_script_subprocess():
         capture_output=True, text=True,
     )
     assert proc.returncode == 0 and "plot" in proc.stdout
+
+
+# --- start-up cost -------------------------------------------------------------------
+
+# Runs adasub.cli.main(argv) (or, with no argv, only `import adasub`) in a fresh
+# interpreter and prints its exit code and which lazily imported modules it loaded.
+_PROBE = """
+import contextlib, io, sys
+import adasub
+rc = None
+if sys.argv[1:]:
+    from adasub.cli import main
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = main(sys.argv[1:])
+print(rc, "numpy" in sys.modules, "concurrent.futures" in sys.modules)
+"""
+
+
+def _probe(workdir, *argv):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(adasub.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _PROBE, *argv], cwd=workdir, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+@pytest.mark.parametrize("argv, numpy_loaded", [
+    ((), False),
+    (("gen", "bags", "--k", "3", "--out", "fresh.json"), False),
+    (("run", "bags-k3.json", "greedy", "--k", "3"), False),
+    (("verify", "t.json", "submodular"), False),
+    (("run", "bags-k3.json", "greedy", "--k", "3", "--mode", "mc", "--samples", "20",
+      "--seed", "1"), True),
+    (("run", "c.json", "greedy-cov"), True),
+    (("verify", "hardness", "--k", "3", "--r", "3", "--trials", "20", "--seed", "1"), True),
+], ids=["import", "gen-bags", "run-exact-bags", "verify-tabular", "run-mc", "run-cover",
+        "verify-hardness"])
+def test_numpy_is_imported_only_by_commands_that_use_it(argv, numpy_loaded, bags3_file, workdir,
+                                                        capsys):
+    assert run_cli("gen", "tabular", "--n", "3", "--m", "4", "--seed", "2", "--out", "t.json") == EXIT_OK
+    assert run_cli("gen", "cover", "--n", "4", "--universe", "6", "--out", "c.json") == EXIT_OK
+    capsys.readouterr()
+    rc = "None" if not argv else str(EXIT_OK)
+    assert _probe(workdir, *argv) == [rc, str(numpy_loaded), "False"]
+
+
+def test_experiment_jobs_two_loads_the_pool_and_matches_jobs_one(bags3_file, workdir):
+    sweeps = [{"id": f"s{i}", "command": "run", "instance": {"file": bags3_file},
+               "policy": "greedy", "k": 3, "mode": "mc", "samples": 20, "seed": i}
+              for i in range(3)]
+    cfg = _write_config(workdir, sweeps)
+    assert _probe(workdir, "experiment", cfg, "--out", "one.csv") == ["0", "True", "False"]
+    # The workers draw the samples, so the parent loads the pool and not numpy.
+    assert _probe(workdir, "experiment", cfg, "--jobs", "2", "--out", "two.csv") == ["0", "False", "True"]
+    assert (workdir / "one.csv").read_bytes() == (workdir / "two.csv").read_bytes()

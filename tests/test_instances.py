@@ -96,6 +96,57 @@ def test_bags_mass_matches_support(bags3):
         assert math.isclose(bags3.prior.mass(psi), brute, abs_tol=1e-12)
 
 
+def _sequential_bags_mass(sizes, base: PartialRealization, psi: PartialRealization) -> float:
+    """P(psi | base) on bags, written from the definition: 0 when psi disagrees
+    with base or the merged view leaves a bag id range or overfills a bag; else
+    the product of free-slot draws over psi's new pairs in element order."""
+    merged = dict(base.pairs)
+    for e, o in psi.pairs:
+        if merged.setdefault(e, o) != o:
+            return 0.0
+    labels = list(merged.values())
+    if any(not 0 <= o < len(sizes) or labels.count(o) > sizes[o] for o in labels):
+        return 0.0
+    free = [c - sum(1 for _e, o in base.pairs if o == j) for j, c in enumerate(sizes)]
+    left = sum(sizes) - len(base)
+    p = 1.0
+    for e, o in psi.pairs:
+        if e in base:
+            continue
+        p *= free[o] / left
+        free[o] -= 1
+        left -= 1
+    return p
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_bags_mass_equals_the_sequential_definition(k):
+    """mass is bit-identical to the definition on random full and partial
+    views, consistent or not, with and without a conditioned base."""
+    rng = np.random.default_rng(k)
+    prior = build_bags(k).prior
+    n = prior.n
+    seen = {"positive": 0, "zero": 0}
+    for trial in range(300):
+        phi = prior.sample(rng)
+        base = EMPTY
+        if trial % 2:
+            picked = rng.choice(n, size=int(rng.integers(1, 4)), replace=False)
+            base = PartialRealization.project(phi, picked)
+        if trial % 3 == 0:
+            # Random labels, some past the last bag: mostly inconsistent views.
+            labels = [int(o) for o in rng.integers(-1, k + 1, size=n)]
+        else:
+            labels = list(phi if trial % 5 else prior.sample(rng))
+        size = n if trial % 4 == 0 else int(rng.integers(0, n + 1))
+        elements = sorted(int(e) for e in rng.choice(n, size=size, replace=False))
+        psi = PartialRealization((e, labels[e]) for e in elements)
+        want = _sequential_bags_mass(prior.sizes, base, psi)
+        assert (prior.condition(base) if len(base) else prior).mass(psi) == want, (base, psi)
+        seen["positive" if want > 0 else "zero"] += 1
+    assert min(seen.values()) > 20, seen
+
+
 def test_bags_reveal_returns_bag_mates(bags2):
     phi = (1, 0, 1)  # elements 0 and 2 share the size-two bag
     assert bags2.observe(phi, 0) == [(0, 1), (2, 1)]
