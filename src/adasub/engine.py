@@ -20,13 +20,13 @@ yielded, and its fork is a fresh start fed that log.  A plain run (run_policy,
 evaluate_mc, the Monte Carlo verifiers) is the walk over one row, on the
 caller's seed and with no scorer memo.  Exact evaluation and threshold
 calibration walk the prior support (times the seed space, capped at
-max_support) at a fixed seed; an exact row's value is one utility call per
-outcome tuple of its leaf.  So in exact mode a policy's actions must depend
-only on theta, ctx.rng and the replies; one that yields other actions when fed
-its log raises PolicyBugError.  Within one exact evaluation each decision
-state is scored once; a scorer call that drew from ctx.rng is recomputed on
-every replay, and a fork goes on from the rng state at its split, so sampled
-scores and their flags stay those of a plain run.
+max_support) at a fixed seed; exact evaluation takes each leaf's rows as one
+batch, valued by one utility call per outcome tuple.  So in exact mode a
+policy's actions must depend only on theta, ctx.rng and the replies; one that
+yields other actions when fed its log raises PolicyBugError.  Within one exact
+evaluation each decision state is scored once; a scorer call that drew from
+ctx.rng is recomputed on every replay, and a fork goes on from the rng state
+at its split, so sampled scores and their flags stay those of a plain run.
 """
 from __future__ import annotations
 
@@ -34,6 +34,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Sequence
 from weakref import WeakKeyDictionary
 
@@ -434,8 +435,9 @@ def _walk(policy: Policy, inst: Instance, rows: list, theta: Any, memo: dict | N
                 continue
             parts: dict = {}
             if inst.reveal is None:  # a reply is the pending outcomes: one _reply per part
+                outcomes = _outcomes(pending)
                 for row in group:
-                    parts.setdefault(tuple([row[1][p] for p in pending]), []).append(row)
+                    parts.setdefault(outcomes(row[1]), []).append(row)
                 parts = {_reply(inst, part[0][1], pending, observed): part
                          for part in parts.values()}
             else:
@@ -477,12 +479,17 @@ def _trace(inst: Instance, phi: Realization, leaf: tuple,
     )
 
 
+def _outcomes(items: list[int]) -> Callable[[Realization], Any]:
+    """phi -> its outcomes on items as a key: itemgetter's (a scalar for one item), () for none."""
+    return itemgetter(*items) if items else lambda phi: ()
+
+
 def _exact_rows(policy: Policy, inst: Instance) -> Iterator[tuple]:
-    """((support row, seed branch), weight, value, _walk leaf) over prior support
-    x policy seed branches at EXACT_SEED, leaf by leaf.  A row's value is f of
-    its outcomes on the leaf's selections: one utility call per outcome tuple.
-    All runs share one scorer memo, so a fork that replays its log does not
-    score a state again."""
+    """(seed branch, [(w * pt, value)] per row of the leaf's group, _walk leaf)
+    for each leaf of the walks over prior support x policy seed branches at
+    EXACT_SEED.  A row's value is f of its outcomes on the leaf's selections,
+    one utility call per outcome tuple of the leaf.  All runs share one scorer
+    memo, so a fork that replays its log does not score a state again."""
     rows = _checked_support(inst, len(policy.seed_space))
     memo: dict = {}
     for b, (theta, pt) in enumerate(policy.seed_space):
@@ -490,23 +497,24 @@ def _exact_rows(policy: Policy, inst: Instance) -> Iterator[tuple]:
             continue
         for leaf in _walk(policy, inst, rows, theta, memo):
             group, selected = leaf[0], leaf[1]
-            values: dict[tuple[int, ...], float] = {}
-            for j, phi, w in group:
-                outs = tuple([phi[e] for e in selected])
-                v = values.get(outs)
-                if v is None:
-                    v = values[outs] = inst.utility(PartialRealization(zip(selected, outs)))
-                yield (j, b), w * pt, v, leaf
+            outcomes, values, batch = _outcomes(selected), {}, []
+            for _j, phi, w in group:
+                o = outcomes(phi)
+                if (v := values.get(o)) is None:
+                    v = values[o] = inst.utility(PartialRealization.project(phi, selected))
+                batch.append((w * pt, v))
+            yield b, batch, leaf
 
 
 def evaluate_exact(policy: Policy, inst: Instance) -> EvalReport:
     """Exact expectations by enumerating prior support x policy seed branches."""
     f_terms, c_terms, r_terms = [], [], []
     flags: set[str] = set()
-    for _row, w, v, (_group, _sel, cost, marks, _obs, ctx, _gen) in _exact_rows(policy, inst):
-        f_terms.append(w * v)
-        c_terms.append(w * cost)
-        r_terms.append(w * len(marks))
+    for _b, batch, (_group, _sel, cost, marks, _obs, ctx, _gen) in _exact_rows(policy, inst):
+        for w, v in batch:
+            f_terms.append(w * v)
+            c_terms.append(w * cost)
+            r_terms.append(w * len(marks))
         flags.update(ctx.flags)
     return EvalReport(
         policy=policy.name,

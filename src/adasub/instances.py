@@ -438,8 +438,12 @@ class _CoverTables:
         # P(element leaves item u uncovered) and the expected gain weights.
         self.miss = (self.marg[:, :, None] * ~self.cover).sum(axis=1)  # (n, U)
         self.H = (self.marg[:, :, None] * self.mask).sum(axis=1)  # (n, U)
-        padded = np.pad(self.cover, ((0, 0), (0, 0), (0, -U % 64)))
-        self.words = np.packbits(padded, axis=2, bitorder="little").view(np.uint64)
+        # Covered items as ints and as little-endian 64-bit words, zero-weight items left out.
+        live = sum(1 << u for u in np.flatnonzero(self.w_items > 0).tolist())
+        bits = [[(s[o] if o < len(s) else 0) & live for o in range(m)] for s in utility._bits]
+        size = 8 * -(-U // 64)
+        blob = bytearray(b"".join(b.to_bytes(size, "little") for s in bits for b in s))
+        self.words = np.frombuffer(blob, dtype=np.uint64).reshape(n, m, size // 8)
         # Nonzero outcomes per element, left-aligned: labels, probabilities and
         # cumulative sums (padded with inf so no draw lands past the last one).
         nonzero = self.marg > 0
@@ -447,13 +451,11 @@ class _CoverTables:
         self.labels = np.argsort(~nonzero, axis=1, kind="stable")
         self.probs = np.take_along_axis(self.marg, self.labels, axis=1)
         self.cum = np.where(np.arange(m) < self.nopts[:, None], self.probs.cumsum(axis=1), np.inf)
-        # Item sets as ints: reach[e] / leave[e] hold the items that some positive-mass
-        # outcome of e covers / misses (zero-weight items are in no cover here).
+        # reach[e] / leave[e]: the items some positive-mass outcome of e covers / misses.
         self.reach, self.leave = [0] * n, [0] * n
         for e, o in zip(*np.nonzero(self.marg > 0)):
-            bits = int.from_bytes(self.words[e, o].tobytes(), "little")
-            self.reach[e] |= bits
-            self.leave[e] |= ~bits & ((1 << U) - 1)
+            self.reach[e] |= bits[e][o]
+            self.leave[e] |= ~bits[e][o] & ((1 << U) - 1)
 
 
 def _cover_fast_hooks(prior: ProductPrior, utility: CoverUtility):
@@ -471,13 +473,7 @@ def _cover_fast_hooks(prior: ProductPrior, utility: CoverUtility):
     n = prior.n
     U = utility.universe
     m = utility.num_outcomes()
-    tables = None
-
-    def _ensure() -> _CoverTables:
-        nonlocal tables
-        if tables is None:
-            tables = _CoverTables(prior, utility)
-        return tables
+    tables = None  # built on the first fast_sav call
 
     def _branches(t: _CoverTables, pending: list[int], ctx):
         """Covered-item words (B, ceil(U/64)) and weights (B,) of the batch's
@@ -507,7 +503,10 @@ def _cover_fast_hooks(prior: ProductPrior, utility: CoverUtility):
         return packed, ws
 
     def fast_sav(inst, psi, pending, cands, ctx, cap=None):
-        t = _ensure()
+        nonlocal tables
+        if tables is None:
+            tables = _CoverTables(prior, utility)
+        t = tables
         pending = list(pending)
         blocked = set(psi.domain) | set(pending)
         # No live item (uncovered by psi, missed with positive mass by every

@@ -101,9 +101,9 @@ class PartialRealization:
     def extend(self, e: int, o: int) -> "PartialRealization":
         if e in self._map:
             raise AlreadyObservedError(f"element {e} already observed")
+        i = bisect_left(self._pairs, (e, o))
         out = PartialRealization.__new__(PartialRealization)
-        out._map = {**self._map, e: o}
-        out._pairs = tuple(sorted(out._map.items()))
+        out._map, out._pairs = {**self._map, e: o}, self._pairs[:i] + ((e, o),) + self._pairs[i:]
         return out
 
     def union(self, other: "PartialRealization") -> "PartialRealization":
@@ -115,7 +115,9 @@ class PartialRealization:
                     f"conflicting outcomes for element {e}: {merged[e]} vs {o}"
                 )
             merged[e] = o
-        return PartialRealization(merged)
+        out = PartialRealization.__new__(PartialRealization)
+        out._map, out._pairs = merged, tuple(sorted(merged.items()))
+        return out
 
     def restrict(self, elements: Iterable[int]) -> "PartialRealization":
         keep = set(elements)

@@ -15,7 +15,6 @@ with engine._walk to read off the score trail of each leaf.
 """
 from __future__ import annotations
 
-import copy
 import functools
 import math
 from dataclasses import dataclass
@@ -111,7 +110,8 @@ class _Greedy:
         self.done = False
 
     def fork(self, ctx: PolicyContext) -> "_Greedy":
-        kid = copy.copy(self)
+        kid = _Greedy.__new__(_Greedy)
+        kid.__dict__.update(self.__dict__)
         kid.ctx, kid.selected = ctx, set(self.selected)
         kid.pending, kid.trail = list(self.pending), list(self.trail)
         return kid

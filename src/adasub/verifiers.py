@@ -198,9 +198,10 @@ def verify_eta(inst: Instance) -> BoundCheckResult:
 def _value_and_count(policy: Policy, inst: Instance) -> tuple[float, float]:
     """Exact f_avg and expected selection count of a policy, from one pass."""
     f_terms, k_terms = [], []
-    for _row, w, v, leaf in _exact_rows(policy, inst):
-        f_terms.append(w * v)
-        k_terms.append(w * len(leaf[1]))
+    for _b, batch, leaf in _exact_rows(policy, inst):
+        for w, v in batch:
+            f_terms.append(w * v)
+            k_terms.append(w * len(leaf[1]))
     return math.fsum(f_terms), math.fsum(k_terms)
 
 

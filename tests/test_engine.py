@@ -281,11 +281,14 @@ def _plain_traces(policy, inst):
 
 
 def _rows_in_order(policy, inst):
-    """The (weight, trace) rows of _exact_rows, in _plain_traces' order: each
-    row's trace is _trace of its leaf, and the row's value is the trace's."""
+    """The (weight, trace) rows of _exact_rows' leaf batches, in _plain_traces'
+    order: each row's trace is _trace of its leaf, and the row's value is the
+    trace's."""
     phis = [phi for phi, _w in inst.prior.support()]
+    flat = [((row[0], b), w, value, leaf) for b, batch, leaf in _exact_rows(policy, inst)
+            for row, (w, value) in zip(leaf[0], batch)]
     out = []
-    for (j, _b), w, value, leaf in sorted(_exact_rows(policy, inst), key=lambda row: row[0]):
+    for (j, _b), w, value, leaf in sorted(flat, key=lambda row: row[0]):
         tr = _trace(inst, phis[j], leaf)
         assert value == tr.value, (policy.name, j)
         out.append((w, tr))
@@ -534,6 +537,46 @@ def test_reply_is_built_once_per_part_without_a_reveal_hook(monkeypatch, build, 
         calls.clear()
         evaluate_exact(base, inst)
         assert len(calls) == want, base.name
+
+
+def _scripted(inst, ctx):
+    """A query with nothing pending, a one-element batch, then a two-element
+    batch picked from the first reply."""
+    yield QUERY
+    yield Select(0)
+    reply = yield QUERY
+    yield Select(1 + reply[0])
+    yield Select(3)
+    yield QUERY
+
+
+@pytest.mark.parametrize("build", [lambda: build_stochastic_cover(6, 12, 2, seed=3),
+                                   lambda: build_random_tabular(4, 6, 0)],
+                         ids=["cover-m2", "tab-s0"])
+def test_split_of_an_empty_and_a_one_element_batch_equals_plain_runs(build):
+    # The hook-less split keys rows by their pending outcomes: none for the
+    # first QUERY, one for the second.
+    inst = build()
+    assert inst.reveal is None
+    for pol in (Policy(name="scripted", play=_scripted), fixed_batch_greedy(1, 3),
+                concat(Policy(name="scripted", play=_scripted), greedy_max(2))):
+        assert evaluate_exact(pol, inst) == _plain_report(pol, inst), pol.name
+        assert _rows_in_order(pol, inst) == _plain_traces(pol, inst), pol.name
+
+
+def test_exact_rows_come_in_leaf_batches_valued_once_per_outcome_tuple():
+    inst = build_stochastic_cover(8, 16, 2, seed=0)
+    pol = greedy_max(4)
+    leaves = list(_exact_rows(pol, inst))
+    assert len(leaves) == 16
+    assert sorted(j for *_, leaf in leaves for j, _phi, _w in leaf[0]) == list(range(256))
+    assert all(len(leaf[0]) == len(batch) for _b, batch, leaf in leaves)
+    tuples = sum(len({tuple(phi[e] for e in leaf[1]) for _j, phi, _w in leaf[0]})
+                 for *_, leaf in leaves)
+    calls = []
+    counted = dataclasses.replace(inst, utility=lambda psi: calls.append(psi) or inst.utility(psi))
+    assert evaluate_exact(pol, counted) == evaluate_exact(pol, inst)
+    assert len(calls) == tuples
 
 
 def test_exact_scores_each_state_once():

@@ -17,6 +17,7 @@ from adasub.errors import (
 from adasub.instances import (
     BagsPrior,
     CoverUtility,
+    _CoverTables,
     build_bags,
     build_random_tabular,
     build_stochastic_cover,
@@ -26,7 +27,7 @@ from adasub.instances import (
     load_instance,
     save_instance,
 )
-from adasub.model import EMPTY, CoverageSpec, PartialRealization
+from adasub.model import EMPTY, CoverageSpec, PartialRealization, ProductPrior
 from adasub.policies import (
     SemiAdaptiveState,
     _sav_and_denom,
@@ -459,6 +460,32 @@ def test_cover_one_live_item_still_branches(monkeypatch):
     ctx = PolicyContext(seed=0)
     _sav_and_denom(inst, psi, pending, cands, ctx)
     assert "sav-mc" in ctx.flags and ctx._rng is not None
+
+
+@pytest.mark.parametrize("U", [10, 64, 70])
+@pytest.mark.parametrize("weighted", [False, True], ids=["unit", "zero-weights"])
+def test_cover_tables_item_words_match_packed_grid(U, weighted):
+    # The reference packs the (n, m, U) cover grid into little-endian words.
+    rng = np.random.default_rng(U)
+    n, m = 6, 3
+    covers = [[[u for u in range(U) if rng.random() < 0.3] for _o in range(m - e % 2)]
+              for e in range(n)]
+    weights = [float(w) for w in rng.integers(0, 3, size=U)] if weighted else None
+    utility = CoverUtility(U, covers, weights)
+    prior = ProductPrior([[0.5, 0.5, 0.0] if e == 0 else [1 / 3] * 3 for e in range(n)])
+    t = _CoverTables(prior, utility)
+    if weighted:
+        assert 0.0 in weights and utility.grid().any()
+    padded = np.pad(utility.grid() > 0, ((0, 0), (0, 0), (0, -U % 64)))
+    words = np.packbits(padded, axis=2, bitorder="little").view(np.uint64)
+    reach, leave = [0] * n, [0] * n
+    for e, o in zip(*np.nonzero(t.marg > 0)):
+        bits = int.from_bytes(words[e, o].tobytes(), "little")
+        reach[e] |= bits
+        leave[e] |= ~bits & ((1 << U) - 1)
+    assert t.words.dtype == words.dtype and t.words.shape == words.shape
+    assert np.array_equal(t.words, words)
+    assert (t.reach, t.leave) == (reach, leave)
 
 
 # --- random tabular family -----------------------------------------------------------
