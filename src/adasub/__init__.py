@@ -19,7 +19,6 @@ from .engine import (
     QUERY,
     STOP,
     Select,
-    cap_value,
     c_avg_exact,
     concat,
     evaluate_exact,
@@ -49,6 +48,7 @@ from .model import (
     ProductPrior,
     TablePrior,
     UtilityFunction,
+    cap_value,
     expand_product,
     is_consistent,
     is_subrealization,

@@ -18,15 +18,14 @@ rng state and flags; any other generator (the combinators, a fixed sequence,
 the DP policies, user code) logs each reply it was sent with the action it
 yielded, and its fork is a fresh start fed that log.  A plain run (run_policy,
 evaluate_mc, the Monte Carlo verifiers) is the walk over one row, on the
-caller's seed and with no scorer memo.  Exact evaluation and threshold
-calibration walk the prior support (times the seed space, capped at
-max_support) at a fixed seed; exact evaluation takes each leaf's rows as one
-batch, valued by one utility call per outcome tuple.  So in exact mode a
-policy's actions must depend only on theta, ctx.rng and the replies; one that
-yields other actions when fed its log raises PolicyBugError.  Within one exact
-evaluation each decision state is scored once; a scorer call that drew from
-ctx.rng is recomputed on every replay, and a fork goes on from the rng state
-at its split, so sampled scores and their flags stay those of a plain run.
+caller's seed.  Exact evaluation and threshold calibration walk the prior
+support (times the seed space, capped at max_support) at a fixed seed; exact
+evaluation takes each leaf's rows as one batch, valued by one utility call per
+outcome tuple.  So in exact mode a policy's actions must depend only on theta,
+ctx.rng and the replies; one that yields other actions when fed its log raises
+PolicyBugError.  A forked kernel meets each decision state once; a replayed
+generator scores its states again, and a fork goes on from the rng state at
+its split, so scores and their flags stay those of a plain run.
 """
 from __future__ import annotations
 
@@ -40,7 +39,6 @@ from weakref import WeakKeyDictionary
 
 from .errors import PolicyBugError, TooLargeError, MalformedInputError
 from .model import (
-    CAP_DEFAULTS,  # noqa: F401 -- kept importable as engine.CAP_DEFAULTS
     EMPTY,
     AlreadyObservedError,
     Instance,
@@ -78,38 +76,28 @@ class PolicyContext:
     theta is the resolved seed-space value for randomized policies; rng is a
     lazily created deterministic generator for internal sampling fallbacks.
     flags collect notes (for example "sav-mc") that surface in reports.
-    Exact evaluation and threshold calibration set _memo, the scores of the
-    decision states met so far in one call; _draws counts the reads of rng,
-    so the scorer can tell whether a call drew from it.
     """
 
     theta: Any = None
     seed: int = 0
     flags: set[str] = field(default_factory=set)
     _rng: np.random.Generator | None = None
-    _memo: dict | None = field(default=None, init=False, repr=False)
-    _draws: int = field(default=0, init=False, repr=False)
 
     @property
     def rng(self) -> np.random.Generator:
-        self._draws += 1
         if self._rng is None:
             import numpy as np
             self._rng = np.random.default_rng(self.seed)
         return self._rng
 
     def child(self, theta: Any, salt: int) -> "PolicyContext":
-        # Children share the flag set so fallback notes propagate to the
-        # trace, and the memo so inner policies reuse the scores.
-        kid = PolicyContext(theta=theta, seed=(self.seed * 1000003 + salt) & 0x7FFFFFFF, flags=self.flags)
-        kid._memo = self._memo
-        return kid
+        # Children share the flag set so fallback notes propagate to the trace.
+        return PolicyContext(theta=theta, seed=(self.seed * 1000003 + salt) & 0x7FFFFFFF, flags=self.flags)
 
     def fork(self) -> "PolicyContext":
-        """A context that goes on from this one's state: the same theta, seed,
-        rng state and draw count, a copy of the flags, and the shared memo."""
+        """A context that goes on from this one's state: the same theta, seed
+        and rng state, and a copy of the flags."""
         kid = PolicyContext(theta=self.theta, seed=self.seed, flags=set(self.flags))
-        kid._memo, kid._draws = self._memo, self._draws
         if self._rng is not None:
             import numpy as np
             kid._rng = np.random.default_rng(self.seed)
@@ -194,8 +182,8 @@ def _reply(inst: Instance, phi: Realization, pending: list[int], observed: dict[
 def _execute(policy: Policy, inst: Instance, phi: Realization, theta: Any, rng_seed: int,
              collect_rounds: bool = False) -> PolicyTrace:
     """One plain run against phi: the _walk over the single row phi, on the
-    caller's seed and with no memo.  A single row never splits."""
-    (leaf,) = _walk(policy, inst, [(0, phi, 1.0)], theta, None, rng_seed)
+    caller's seed.  A single row never splits."""
+    (leaf,) = _walk(policy, inst, [(0, phi, 1.0)], theta, rng_seed)
     return _trace(inst, phi, leaf, collect_rounds)
 
 
@@ -374,8 +362,7 @@ def _checked_support(inst: Instance, branches: int) -> list[tuple[int, Realizati
     return [(j, phi, w) for j, (phi, w) in enumerate(inst.prior.support())]
 
 
-def _walk(policy: Policy, inst: Instance, rows: list, theta: Any, memo: dict | None,
-          seed: int = EXACT_SEED):
+def _walk(policy: Policy, inst: Instance, rows: list, theta: Any, seed: int = EXACT_SEED):
     """Leaves of the policy tree on coin theta over rows (index, phi, weight):
     each leaf's rows, with the selections, cost, round marks and observations
     they share, and the context and generator of the run that ended there.  A
@@ -385,15 +372,14 @@ def _walk(policy: Policy, inst: Instance, rows: list, theta: Any, memo: dict | N
     goes on, with copies of the bookkeeping and its own reply, from a live run
     forked at the split: a generator with fork(ctx) forks onto ctx.fork(); any
     other logs (reply sent, action) as it runs and forks by starting again on a
-    fresh context (so ctx.rng draws as in a plain run; draw-free scores come
-    from memo) fed that log, raising PolicyBugError if the policy then yields
-    other actions or ends.  A round is a QUERY that revealed something new,
-    marked by len(observed) after it, so the observations up to each round are
-    a prefix of the insertion-ordered observed.
+    fresh context (so ctx.rng draws and flags accrue as in a plain run) fed
+    that log, raising PolicyBugError if the policy then yields other actions
+    or ends.  A round is a QUERY that revealed something new, marked by
+    len(observed) after it, so the observations up to each round are a prefix
+    of the insertion-ordered observed.
     """
     def start():
         ctx = PolicyContext(theta=theta, seed=seed)
-        ctx._memo = memo
         run = _Run(policy.play(inst, ctx), policy.name)
         if not hasattr(run.gen, "fork"):
             run.log = []
@@ -488,14 +474,12 @@ def _exact_rows(policy: Policy, inst: Instance) -> Iterator[tuple]:
     """(seed branch, [(w * pt, value)] per row of the leaf's group, _walk leaf)
     for each leaf of the walks over prior support x policy seed branches at
     EXACT_SEED.  A row's value is f of its outcomes on the leaf's selections,
-    one utility call per outcome tuple of the leaf.  All runs share one scorer
-    memo, so a fork that replays its log does not score a state again."""
+    one utility call per outcome tuple of the leaf."""
     rows = _checked_support(inst, len(policy.seed_space))
-    memo: dict = {}
     for b, (theta, pt) in enumerate(policy.seed_space):
         if pt <= 0:
             continue
-        for leaf in _walk(policy, inst, rows, theta, memo):
+        for leaf in _walk(policy, inst, rows, theta):
             group, selected = leaf[0], leaf[1]
             outcomes, values, batch = _outcomes(selected), {}, []
             for _j, phi, w in group:

@@ -707,15 +707,37 @@ def save_instance(inst: Instance, path: str) -> None:
         fh.write("\n")
 
 
-def _need(doc: dict, field: str, where: str):
+def _need(doc: Any, field: str, where: str, kind: type | None = None, depth: int = 0) -> Any:
+    """doc[field] of the object at where; with a kind, read by _read."""
+    if not isinstance(doc, dict):
+        raise MalformedInputError(f"{where}: must be an object")
     if field not in doc:
         raise MalformedInputError(f"{where}: missing field {field!r}")
-    return doc[field]
+    return doc[field] if kind is None else _read(doc[field], f"{where}.{field}", kind, depth)
+
+
+def _list(value: Any, where: str) -> list:
+    if not isinstance(value, list):
+        raise MalformedInputError(f"{where}: must be a list")
+    return value
+
+
+def _read(value: Any, where: str, kind: type, depth: int) -> Any:
+    """value as numbers read by kind() (2.0 and "2" give int 2), in lists depth deep."""
+    if not depth:
+        try:
+            return kind(value)
+        except (TypeError, ValueError):
+            raise MalformedInputError(f"{where} is not a number: {value!r}") from None
+    if depth == 1:
+        try:
+            return list(map(kind, _list(value, where)))
+        except (TypeError, ValueError):
+            pass  # the loop below names the entry
+    return [_read(v, f"{where}[{i}]", kind, depth - 1) for i, v in enumerate(_list(value, where))]
 
 
 def instance_from_doc(doc: dict[str, Any]) -> Instance:
-    if not isinstance(doc, dict):
-        raise MalformedInputError("instance document must be an object")
     name = str(_need(doc, "name", "instance"))
     n = _need(doc, "elements", "instance")
     num_outcomes = _need(doc, "outcomes", "instance")
@@ -729,8 +751,9 @@ def instance_from_doc(doc: dict[str, Any]) -> Instance:
     if kind == "table":
         rows = []
         raw_sum = 0.0
-        for i, row in enumerate(_need(pdoc, "rows", "instance.prior")):
-            outs = _need(row, "outcomes", f"instance.prior.rows[{i}]")
+        for i, row in enumerate(_list(_need(pdoc, "rows", "instance.prior"), "instance.prior.rows")):
+            outs = _list(_need(row, "outcomes", f"instance.prior.rows[{i}]"),
+                         f"instance.prior.rows[{i}].outcomes")
             w = _need(row, "weight", f"instance.prior.rows[{i}]")
             if len(outs) != n:
                 raise MalformedInputError(
@@ -751,7 +774,7 @@ def instance_from_doc(doc: dict[str, Any]) -> Instance:
             )
         prior: Prior = TablePrior(rows, num_outcomes=num_outcomes)
     elif kind == "product":
-        margs = _need(pdoc, "marginals", "instance.prior")
+        margs = _need(pdoc, "marginals", "instance.prior", float, 2)
         if len(margs) != n:
             raise MalformedInputError(
                 f"instance.prior.marginals: expected {n} rows, got {len(margs)}"
@@ -761,15 +784,14 @@ def instance_from_doc(doc: dict[str, Any]) -> Instance:
                 raise MalformedInputError(
                     f"instance.prior.marginals[{e}]: expected {num_outcomes} probabilities"
                 )
-            s = math.fsum(float(p) for p in row)
+            s = math.fsum(row)
             if abs(s - 1.0) > 1e-6:
                 raise MalformedInputError(
                     f"instance.prior.marginals[{e}]: sums to {s!r}, outside 1 +/- 1e-6"
                 )
         prior = ProductPrior(margs)
     elif kind == "bags":
-        sizes = _need(pdoc, "sizes", "instance.prior")
-        prior = BagsPrior(sizes)
+        prior = BagsPrior(_need(pdoc, "sizes", "instance.prior", int, 1))
         if prior.n != n:
             raise MalformedInputError(
                 f"instance.prior.sizes: sum {prior.n} disagrees with elements {n}"
@@ -784,33 +806,34 @@ def instance_from_doc(doc: dict[str, Any]) -> Instance:
     udoc = _need(doc, "utility", "instance")
     family = _need(udoc, "family", "instance.utility")
     if family == "coverage":
-        covers = _need(udoc, "covers", "instance.utility")
+        covers = _need(udoc, "covers", "instance.utility", int, 3)
         if len(covers) != n:
             raise MalformedInputError(
                 f"instance.utility.covers: expected {n} rows, got {len(covers)}"
             )
+        weights = udoc.get("weights")
         utility: UtilityFunction = CoverUtility(
-            int(_need(udoc, "universe", "instance.utility")),
+            _need(udoc, "universe", "instance.utility", int),
             covers,
-            udoc.get("weights"),
+            None if weights is None else _need(udoc, "weights", "instance.utility", float, 1),
         )
     elif family == "bag-count":
         utility = BagCountUtility()
     elif family == "match-pair":
         utility = MatchPairUtility(bool(udoc.get("truncated", False)))
     elif family == "modular":
-        utility = ModularUtility(_need(udoc, "values", "instance.utility"))
+        utility = ModularUtility(_need(udoc, "values", "instance.utility", float, 2))
     else:
         raise MalformedInputError(f"instance.utility.family: unknown family {family!r}")
 
     coverage = None
-    if "coverage" in doc and doc["coverage"] is not None:
+    if doc.get("coverage") is not None:
         cdoc = doc["coverage"]
-        costs = cdoc.get("costs")
         coverage = CoverageSpec(
-            quota=float(_need(cdoc, "quota", "instance.coverage")),
-            eta=float(_need(cdoc, "eta", "instance.coverage")),
-            costs=tuple(float(c) for c in costs) if costs is not None else None,
+            quota=_need(cdoc, "quota", "instance.coverage", float),
+            eta=_need(cdoc, "eta", "instance.coverage", float),
+            costs=(None if cdoc.get("costs") is None
+                   else tuple(_need(cdoc, "costs", "instance.coverage", float, 1))),
         )
 
     return Instance(

@@ -30,7 +30,6 @@ from .engine import (
     _checked_support,
     _walk,
     argmax_pairs,
-    cap_value,
     marginals_for,
 )
 from .errors import InfeasibleError, MalformedInputError, TooLargeError
@@ -40,6 +39,7 @@ from .model import (
     CoverageSpec,
     Instance,
     PartialRealization,
+    cap_value,
 )
 
 # Tolerance for score-versus-threshold equality.  Thresholds are produced by
@@ -247,7 +247,7 @@ def _score_paths(inst: Instance, mode: str) -> list[tuple[float, list[float]]]:
     else:
         rows = [(0, next(iter(inst.prior.support()))[0], 1.0)]
     paths = []
-    for group, *_, gen in _walk(kernel, inst, rows, None, {}):
+    for group, *_, gen in _walk(kernel, inst, rows, None):
         paths.extend((w, gen.trail) for _j, _phi, w in group)
     return paths
 
@@ -340,37 +340,7 @@ def _sav_and_denom(
     flagged "sav-mc".  The cover hook on product priors scores uncapped and
     dead batches (no reachable item left uncovered) exactly, without branches,
     so there "sav-mc" means a sample entered a nonzero reference term or score.
-
-    Within one exact evaluation or calibration (ctx._memo set) a state is
-    scored once: a call that did not read ctx.rng is kept, and later calls
-    on the same state get a copy of its scores.  A bare kernel's walk meets
-    each state once; states met again come from a plain generator's replayed
-    log and from a policy's coin branches.  So a scorer that adds a flag must
-    read ctx.rng in that call, or a kept call would drop it from later runs.
     """
-    memo = ctx._memo
-    if memo is None:
-        return _score_state(inst, psi, pending, cands, ctx, cap)
-    key = (psi.pairs, tuple(pending), tuple(cands), cap)
-    hit = memo.get(key)
-    if hit is not None:
-        return list(hit[0]), hit[1]
-    draws = ctx._draws
-    scores, denom = _score_state(inst, psi, pending, cands, ctx, cap)
-    if ctx._draws == draws:
-        memo[key] = (tuple(scores), denom)
-    return scores, denom
-
-
-def _score_state(
-    inst: Instance,
-    psi: PartialRealization,
-    pending: list[int],
-    cands: list[int],
-    ctx: PolicyContext,
-    cap: float | None,
-) -> tuple[list[float], float]:
-    """_sav_and_denom without the memo."""
     if inst.fast_sav is not None:
         return inst.fast_sav(inst, psi, pending, cands, ctx, cap)
     blocked = set(psi.domain) | set(pending)
@@ -387,10 +357,9 @@ def _score_state(
             ctx.flags.add("sav-mc")
             samples = cap_value("mc_fallback")
             post = inst.prior.condition(psi)
-            rng = ctx.rng  # read even for zero samples, so the call counts as drawing
             branches = (
                 (tuple(phi[e] for e in pending), 1.0 / samples)
-                for phi in (post.sample(rng) for _ in range(samples))
+                for phi in (post.sample(ctx.rng) for _ in range(samples))
             )
         savs = [0.0] * len(free)
         denom = 0.0

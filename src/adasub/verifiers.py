@@ -17,7 +17,6 @@ from .engine import (
     _cached_marginals,
     _csv,
     _exact_rows,
-    cap_value,
     concat,
     f_avg_exact,
     c_avg_exact,
@@ -27,7 +26,7 @@ from .engine import (
 )
 from .errors import InfeasibleError, MalformedInputError, TooLargeError
 from .instances import build_bags
-from .model import EMPTY, Instance, PartialRealization
+from .model import EMPTY, Instance, PartialRealization, cap_value
 from .policies import (
     _calibrations,
     _goal,

@@ -443,6 +443,12 @@ def test_non_finite_float_is_malformed(argv, error, bags3_file, workdir, capsys)
      "realization weight is not a finite number: nan"),
 ])
 def test_non_finite_instance_number_is_malformed(gen, keys, value, error, workdir, capsys):
+    _assert_field_is_malformed(gen, keys, value, error, capsys)
+
+
+def _assert_field_is_malformed(gen, keys, value, error, capsys):
+    """A generated instance file with the field at keys set to value makes
+    `run` exit 3 with the one-line error."""
     size = ("--universe", "4") if gen == "cover" else ("--m", "4")
     run_cli("gen", gen, "--n", "3", *size, "--out", "inst.json")
     with open("inst.json") as fh:
@@ -458,6 +464,24 @@ def test_non_finite_instance_number_is_malformed(gen, keys, value, error, workdi
     capsys.readouterr()
     assert run_cli("run", "inst.json", "greedy", "--k", "1") == EXIT_MALFORMED
     assert capsys.readouterr().err == f"adasub: error: {error}\n"
+
+
+@pytest.mark.parametrize("gen, keys, value, error", [
+    ("cover", ("coverage", "quota"), "abc", "instance.coverage.quota is not a number: 'abc'"),
+    ("cover", ("utility", "universe"), "x", "instance.utility.universe is not a number: 'x'"),
+    ("cover", ("prior",), "kind", "instance.prior: must be an object"),
+    ("cover", ("prior", "marginals", 0, 1), "a",
+     "instance.prior.marginals[0][1] is not a number: 'a'"),
+    ("cover", ("utility", "covers", 0), 5, "instance.utility.covers[0]: must be a list"),
+    ("cover", ("coverage", "costs"), "1111", "instance.coverage.costs: must be a list"),
+    ("cover", ("coverage",), 3, "instance.coverage: must be an object"),
+    ("tabular", ("prior", "rows"), 5, "instance.prior.rows: must be a list"),
+    ("tabular", ("prior", "rows", 0, "outcomes"), 5,
+     "instance.prior.rows[0].outcomes: must be a list"),
+], ids=["quota", "universe", "prior", "marginal", "covers", "costs", "coverage", "rows",
+        "row-outcomes"])
+def test_malformed_instance_field_is_malformed(gen, keys, value, error, workdir, capsys):
+    _assert_field_is_malformed(gen, keys, value, error, capsys)
 
 
 @pytest.mark.parametrize("jobs", ["0", "-2"])

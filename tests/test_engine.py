@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from adasub import engine, policies
 from adasub.engine import (
-    CAP_DEFAULTS,
     EVAL_COLUMNS,
     EXACT_SEED,
     EvalReport,
@@ -52,7 +51,9 @@ from adasub.instances import (
     build_stochastic_cover,
     build_truncation_pair,
 )
-from adasub.model import EMPTY, CoverageSpec, Instance, PartialRealization, ProductPrior, TablePrior
+from adasub.model import (
+    CAP_DEFAULTS, EMPTY, CoverageSpec, Instance, PartialRealization, ProductPrior, TablePrior,
+)
 from adasub.policies import (
     fixed_batch_greedy,
     fixed_sequence_policy,
@@ -339,7 +340,7 @@ def test_exact_traces_equal_plain_rows(build):
 
 
 # The cover samples in its scorer hook; the hook-less table takes the
-# generic fallback of policies._score_state.
+# generic fallback of policies._sav_and_denom.
 sampled_instances = pytest.mark.parametrize(
     "build",
     [lambda: build_stochastic_cover(6, 12, 2, seed=3), lambda: build_random_tabular(4, 6, 0)],
@@ -433,30 +434,46 @@ def test_exact_forks_a_bare_kernel_instead_of_restarting_it():
             sequences = set()
             for phi, _w in inst.prior.support():
                 _execute(_reply_log(base, sequences), inst, phi, theta, rng_seed=EXACT_SEED)
-            assert len(list(_walk(base, inst, rows, theta, {}))) == len(sequences), base.name
+            assert len(list(_walk(base, inst, rows, theta))) == len(sequences), base.name
 
 
 def test_context_fork_goes_on_from_the_rng_state_with_its_own_flags():
     ctx = PolicyContext(theta=True, seed=5)
-    ctx._memo = {}
     ctx.rng.random(3)
     ctx.flags.add("sav-mc")
     kid = ctx.fork()
-    assert (kid.theta, kid.seed, kid._draws, kid.flags) == (True, 5, 1, {"sav-mc"})
-    assert kid._memo is ctx._memo and kid.flags is not ctx.flags
+    assert (kid.theta, kid.seed, kid.flags) == (True, 5, {"sav-mc"})
+    assert kid.flags is not ctx.flags
     assert kid.rng.random() == ctx.rng.random()
     assert PolicyContext(seed=5).fork()._rng is None
 
 
-def test_a_forked_run_draws_as_a_plain_run():
-    base = build_stochastic_cover(6, 12, 2, seed=3)
+def _rows_are_plain_runs(fast_sav):
+    """Forked kernels and log-replayed combinators alike: under the hook, every
+    exact row keeps the trace, flags included, of its plain run."""
+    inst = dataclasses.replace(build_stochastic_cover(6, 12, 2, seed=3), fast_sav=fast_sav)
+    for pol in (greedy_max(3), semi_adaptive_greedy_max(3, 0.2), truncate(greedy_max(4), 2),
+                truncate(semi_adaptive_greedy_max(4, 0.2), 3)):
+        assert _rows_in_order(pol, inst) == _plain_traces(pol, inst), pol.name
 
+
+def test_a_forked_run_draws_as_a_plain_run():
     def fast_sav(inst, psi, pending, cands, ctx, cap=None):
         return [float(x) for x in ctx.rng.random(len(cands))], 1.0
 
-    inst = dataclasses.replace(base, fast_sav=fast_sav)
-    for pol in (greedy_max(3), semi_adaptive_greedy_max(3, 0.2)):
-        assert _rows_in_order(pol, inst) == _plain_traces(pol, inst), pol.name
+    _rows_are_plain_runs(fast_sav)
+
+
+def test_a_replayed_run_flags_as_a_plain_run():
+    # A hook that flags without reading ctx.rng: each replayed state must add
+    # its flag again.
+    base = build_stochastic_cover(6, 12, 2, seed=3)
+
+    def fast_sav(inst, psi, pending, cands, ctx, cap=None):
+        ctx.flags.add(f"state-{len(psi.pairs)}-{len(pending)}")
+        return base.fast_sav(inst, psi, pending, cands, ctx, cap)
+
+    _rows_are_plain_runs(fast_sav)
 
 
 def test_forking_scores_fewer_states_than_restarting(monkeypatch):
@@ -515,7 +532,7 @@ def test_split_by_pending_outcomes_equals_the_per_row_reply(build):
     def leaves(pol, inst, theta):
         return [([j for j, _phi, _w in group], selected, cost, marks, list(observed.items()))
                 for group, selected, cost, marks, observed, _ctx, _gen
-                in _walk(pol, inst, rows, theta, {})]
+                in _walk(pol, inst, rows, theta)]
 
     for pol in _every_policy(inst, 3):
         for theta, _pt in pol.seed_space:
@@ -594,7 +611,7 @@ def test_exact_scores_each_state_once():
         rep = evaluate_exact(pol, inst)
         assert rep == evaluate_exact(pol, base)
         assert calls and set(calls.values()) == {1}, pol.name
-        # The memo lives for one evaluation: a second one scores every state again.
+        # Nothing is kept between evaluations: a second one scores every state again.
         assert evaluate_exact(pol, inst) == rep
         assert set(calls.values()) == {2}, pol.name
 

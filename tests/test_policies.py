@@ -7,11 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from adasub import engine, policies
+from adasub import policies
 from adasub.engine import (
     EXACT_SEED,
     Policy,
-    PolicyContext,
     c_avg_exact,
     evaluate_exact,
     f_avg_exact,
@@ -125,13 +124,7 @@ def test_calibration_oracle(anti_inst):
     assert math.isclose(c_avg_exact(cal.policy(), anti_inst), 1.0, abs_tol=1e-9)
 
 
-class _NoMemoContext(PolicyContext):
-    """A PolicyContext that keeps no scorer memo, so every state is scored."""
-
-    _memo = property(lambda self: None, lambda self, memo: None)
-
-
-def test_calibration_scores_each_state_once(monkeypatch):
+def test_calibration_scores_each_state_once():
     base = build_stochastic_cover(8, 16, 2, seed=0)
     calls = collections.Counter()
 
@@ -146,11 +139,6 @@ def test_calibration_scores_each_state_once(monkeypatch):
         cals[mode] = calibrate_tau(inst, 2, mode)
         assert calls and set(calls.values()) == {1}, mode
         assert cals[mode] == calibrate_tau(base, 2, mode)
-    # Scoring every state of every row gives the same calibrations.
-    monkeypatch.setattr(engine, "PolicyContext", _NoMemoContext)
-    calls.clear()
-    assert {mode: calibrate_tau(inst, 2, mode) for mode in cals} == cals
-    assert sum(calls.values()) > len(calls)
 
 
 def test_calibration_extremes(anti_inst):
