@@ -128,7 +128,8 @@ def exact_reports(inst, k: int) -> None:
             cal = ("calibrate", inst.name, mode, i)
             attempt(cal, calibrate_tau, inst, i, mode)
             try:
-                pol = calibrate_tau(inst, i, mode).policy(mode)
+                c = calibrate_tau(inst, i, mode)
+                pol = threshold_policy(c.tau_i, c.coin_p, mode)
             except AdasubError:
                 continue
             attempt(("exact", inst.name, pol.name), evaluate_exact, pol, inst)

@@ -204,7 +204,7 @@ def policy_from_spec(spec: str, inst: Instance, k: int | None = None) -> Policy:
     if head == "tau-cal":
         mode = opts.get("mode", "marginal")
         i = _opt(opts, "i", spec)
-        return calibrate_tau(inst, int(i) if i.is_integer() else i, mode).policy(mode)
+        return calibrate_tau(inst, int(i) if i.is_integer() else i, mode).policy()
     if head == "semi":
         return semi_adaptive_greedy_max(
             _need_k(k, spec), _opt(opts, "eps", spec), opts.get("gap", "ig")

@@ -282,19 +282,6 @@ def _cached_marginals(inst: Instance, psi: PartialRealization, cands: list[int],
     return out
 
 
-def argmax_pairs(pairs) -> tuple[int, float]:
-    """(element, score) with the highest score; ties keep the earliest pair,
-    so callers that list candidates in ascending id order get the smallest id."""
-    best_e = None
-    best = -math.inf
-    for e, s in pairs:
-        if s > best:
-            best_e, best = e, s
-    if best_e is None:
-        raise PolicyBugError("argmax over an empty candidate set")
-    return best_e, best
-
-
 # --- reports ---------------------------------------------------------------
 
 EVAL_COLUMNS = (

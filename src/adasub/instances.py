@@ -71,7 +71,6 @@ class CoverUtility(UtilityFunction):
         self._bits = tuple(
             tuple(self._to_bits(s) for s in per_element) for per_element in self.covers
         )
-        self._grid: np.ndarray | None = None
 
     @staticmethod
     def _to_bits(items: frozenset[int]) -> int:
@@ -101,20 +100,6 @@ class CoverUtility(UtilityFunction):
             acc >>= 1
             u += 1
         return total
-
-    def grid(self) -> np.ndarray:
-        """(n, m, U) float mask grid, item weights folded in; built lazily."""
-        if self._grid is None:
-            import numpy as np
-            n = len(self.covers)
-            m = self.num_outcomes()
-            g = np.zeros((n, m, self.universe))
-            for e, per_element in enumerate(self.covers):
-                for o, s in enumerate(per_element):
-                    for u in s:
-                        g[e, o, u] = 1.0 if self.weights is None else self.weights[u]
-            self._grid = g
-        return self._grid
 
 
 class BagCountUtility(UtilityFunction):
@@ -429,21 +414,22 @@ class _CoverTables:
         import numpy as np
         n, U = prior.n, utility.universe
         m = utility.num_outcomes()
-        self.cover = utility.grid() > 0  # (n, m, U)
-        # Gains go through 0/1 masks; item weights enter once, through uw.
-        self.mask = self.cover.astype(float)
         self.marg = np.zeros((n, m))
         self.marg[:, : prior.num_outcomes] = prior.marginals
         self.w_items = np.ones(U) if utility.weights is None else np.array(utility.weights)
-        # P(element leaves item u uncovered) and the expected gain weights.
-        self.miss = (self.marg[:, :, None] * ~self.cover).sum(axis=1)  # (n, U)
-        self.H = (self.marg[:, :, None] * self.mask).sum(axis=1)  # (n, U)
         # Covered items as ints and as little-endian 64-bit words, zero-weight items left out.
         live = sum(1 << u for u in np.flatnonzero(self.w_items > 0).tolist())
         bits = [[(s[o] if o < len(s) else 0) & live for o in range(m)] for s in utility._bits]
         size = 8 * -(-U // 64)
         blob = bytearray(b"".join(b.to_bytes(size, "little") for s in bits for b in s))
         self.words = np.frombuffer(blob, dtype=np.uint64).reshape(n, m, size // 8)
+        self.cover = np.unpackbits(  # (n, m, U)
+            self.words.view(np.uint8), axis=-1, count=U, bitorder="little").astype(bool)
+        # Gains go through 0/1 masks; item weights enter once, through uw.
+        self.mask = self.cover.astype(float)
+        # P(element leaves item u uncovered) and the expected gain weights.
+        self.miss = (self.marg[:, :, None] * ~self.cover).sum(axis=1)  # (n, U)
+        self.H = (self.marg[:, :, None] * self.mask).sum(axis=1)  # (n, U)
         # Nonzero outcomes per element, left-aligned: labels, probabilities and
         # cumulative sums (padded with inf so no draw lands past the last one).
         nonzero = self.marg > 0
@@ -723,16 +709,24 @@ def _list(value: Any, where: str) -> list:
 
 
 def _read(value: Any, where: str, kind: type, depth: int) -> Any:
-    """value as numbers read by kind() (2.0 and "2" give int 2), in lists depth deep."""
+    """value as numbers read by kind(), in lists depth deep; an int must be
+    integral (2, 2.0 and "2" give int 2, 2.5 is malformed)."""
     if not depth:
         try:
-            return kind(value)
+            x = kind(value)
+        except OverflowError:  # int(inf)
+            x = None
         except (TypeError, ValueError):
             raise MalformedInputError(f"{where} is not a number: {value!r}") from None
+        if kind is int and x != value and not isinstance(value, str):
+            raise MalformedInputError(f"{where} is not an integer: {value!r}")
+        return x
     if depth == 1:
         try:
-            return list(map(kind, _list(value, where)))
-        except (TypeError, ValueError):
+            out = list(map(kind, _list(value, where)))
+            if kind is float or out == value:
+                return out
+        except (TypeError, ValueError, OverflowError):
             pass  # the loop below names the entry
     return [_read(v, f"{where}[{i}]", kind, depth - 1) for i, v in enumerate(_list(value, where))]
 

@@ -12,7 +12,7 @@ import math
 import os
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     AlreadyObservedError,

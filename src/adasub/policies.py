@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable
 from weakref import WeakKeyDictionary
 
@@ -29,7 +29,6 @@ from .engine import (
     Select,
     _checked_support,
     _walk,
-    argmax_pairs,
     marginals_for,
 )
 from .errors import InfeasibleError, MalformedInputError, TooLargeError
@@ -69,11 +68,11 @@ def covered(inst: Instance, psi: PartialRealization) -> bool:
 class _Greedy:
     """The greedy loop behind every marginal-driven policy.
 
-    Each step picks the unselected element with the best score, ties to the
-    smallest id, until `budget` (at most n) elements are selected.  Every
-    decision scores expected marginals after the pending batch resolves
-    through _sav_and_denom; with nothing pending that is the sequential greedy
-    score.
+    Each step picks the unselected element with the best score (the first
+    maximum over ascending ids, so a tie goes to the smallest) until `budget`
+    (at most n) elements are selected.  Every decision scores expected
+    marginals after the pending batch resolves through _sav_and_denom; with
+    nothing pending that is the sequential greedy score.
 
     Observation happens after every `every` picks (policies that observe only
     at the end pass their budget) and, with eps given, whenever the gap ratio
@@ -148,10 +147,10 @@ class _Greedy:
             scores, denom = _sav_and_denom(inst, self.psi, pending, cands, ctx, self.cap)
             if not pending:
                 self.ref = denom
-            if not cover:
-                e, best = argmax_pairs(zip(cands, scores))
-            else:
-                e, best = argmax_pairs((c, s / inst.cost(c)) for c, s in zip(cands, scores))
+            ranked = [s / inst.cost(c) for c, s in zip(cands, scores)] if cover else scores
+            best = max(ranked)
+            e = cands[ranked.index(best)]
+            if cover:
                 # Nothing left helps in expectation, either because the batch
                 # already reaches the quota on every branch or because the
                 # quota is out of reach.
@@ -266,6 +265,7 @@ class ThresholdCalibration:
     alpha and beta are the expected counts under the strict (>) and inclusive
     (>=) acceptance rules at tau_i; the coin interpolates between them, so
     alpha <= i <= beta and the calibrated policy's exact expected count is i.
+    mode is the score the calibration ranked by, and policy() thresholds it.
     """
 
     tau_i: float
@@ -273,9 +273,10 @@ class ThresholdCalibration:
     alpha: float
     beta: float
     coin_p: float
+    mode: str = field(repr=False)
 
-    def policy(self, mode: str = "marginal") -> Policy:
-        return threshold_policy(self.tau_i, self.coin_p, mode)
+    def policy(self) -> Policy:
+        return threshold_policy(self.tau_i, self.coin_p, self.mode)
 
 
 def calibrate_tau(inst: Instance, i: float, mode: str = "marginal") -> ThresholdCalibration:
@@ -307,9 +308,9 @@ def _calibrations(inst: Instance, targets: list[float], mode: str = "marginal"):
             if beta >= i - 1e-9:
                 alpha = math.fsum(w * _count_until_fail(scores, v, False) for w, scores in trajs)
                 if beta - alpha <= 1e-12:
-                    return ThresholdCalibration(tau_i=v, i=i, alpha=alpha, beta=beta, coin_p=0.0)
+                    return ThresholdCalibration(v, i, alpha, beta, 0.0, mode)
                 p = min(1.0, max(0.0, (i - alpha) / (beta - alpha)))
-                return ThresholdCalibration(tau_i=v, i=i, alpha=alpha, beta=beta, coin_p=p)
+                return ThresholdCalibration(v, i, alpha, beta, p, mode)
         raise InfeasibleError(f"no threshold reaches an average of {i} selections")
 
     return [scan(i) for i in targets]

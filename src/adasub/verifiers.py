@@ -306,7 +306,7 @@ def verify_batch_lemma8(inst: Instance, pi_star: Policy, ell: int, eps: float) -
         cal = calibrate_tau(inst, ell, mode="sav")
     except InfeasibleError as exc:
         return _result("batch-lemma8", inst, 0.0, 0.0, f"skipped: calibration infeasible: {exc}")
-    lhs = f_avg_exact(cal.policy("sav"), inst)
+    lhs = f_avg_exact(cal.policy(), inst)
     rhs = (1.0 - math.exp(-(1.0 - eps) * ell / (ek + 1.0))) * f_star
     return _result("batch-lemma8", inst, lhs, rhs, f"ell={ell} eps={eps!r} EK={ek!r}")
 

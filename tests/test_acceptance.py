@@ -141,7 +141,7 @@ def test_criterion_04_calibration_exactness(capsys, corpus):
                     cal = calibrate_tau(inst, i, mode)
                 except InfeasibleError:
                     continue
-                err = abs(c_avg_exact(cal.policy(mode), inst) - i)
+                err = abs(c_avg_exact(cal.policy(), inst) - i)
                 worst = max(worst, err)
                 checked += 1
     ok = checked > 0 and worst <= 1e-9

@@ -21,7 +21,7 @@ from adasub.cli import (
     policy_from_spec,
 )
 from adasub.errors import MalformedInputError
-from adasub.instances import load_instance
+from adasub.instances import instance_from_doc, instance_to_doc, load_instance
 from adasub.policies import calibrate_tau, threshold_policy
 
 
@@ -446,19 +446,22 @@ def test_non_finite_instance_number_is_malformed(gen, keys, value, error, workdi
     _assert_field_is_malformed(gen, keys, value, error, capsys)
 
 
+def _set_field(doc, keys, value):
+    *path, last = keys
+    for key in path:
+        doc = doc[key]
+    doc[last] = value
+
+
 def _assert_field_is_malformed(gen, keys, value, error, capsys):
     """A generated instance file with the field at keys set to value makes
     `run` exit 3 with the one-line error."""
-    size = ("--universe", "4") if gen == "cover" else ("--m", "4")
+    size = {"cover": ("--universe", "4"), "bags": ("--k", "2")}.get(gen, ("--m", "4"))
     run_cli("gen", gen, "--n", "3", *size, "--out", "inst.json")
     with open("inst.json") as fh:
         doc = json.load(fh)
     doc.setdefault("coverage", {"quota": 1.0})
-    *path, last = keys
-    node = doc
-    for key in path:
-        node = node[key]
-    node[last] = value
+    _set_field(doc, keys, value)
     with open("inst.json", "w") as fh:
         json.dump(doc, fh)
     capsys.readouterr()
@@ -482,6 +485,37 @@ def _assert_field_is_malformed(gen, keys, value, error, capsys):
         "row-outcomes"])
 def test_malformed_instance_field_is_malformed(gen, keys, value, error, workdir, capsys):
     _assert_field_is_malformed(gen, keys, value, error, capsys)
+
+
+@pytest.mark.parametrize("gen, keys, value, error", [
+    ("cover", ("utility", "universe"), 5.7, "instance.utility.universe is not an integer: 5.7"),
+    ("cover", ("utility", "universe"), math.inf,
+     "instance.utility.universe is not an integer: inf"),
+    ("cover", ("utility", "covers", 0, 0), [0, 1.5],
+     "instance.utility.covers[0][0][1] is not an integer: 1.5"),
+    ("bags", ("prior", "sizes"), [1, 2.9], "instance.prior.sizes[1] is not an integer: 2.9"),
+], ids=["universe", "universe-inf", "cover-item", "bag-size"])
+def test_non_integral_instance_count_is_malformed(gen, keys, value, error, workdir, capsys):
+    _assert_field_is_malformed(gen, keys, value, error, capsys)
+
+
+@pytest.mark.parametrize("gen, keys, value, canonical", [
+    ("cover", ("utility", "universe"), 4.0, 4),
+    ("cover", ("utility", "universe"), "4", 4),
+    ("cover", ("utility", "covers", 1, 0), [0.0, "1", 2], [0, 1, 2]),
+    ("bags", ("prior", "sizes"), [1.0, "2"], [1, 2]),
+], ids=["universe-float", "universe-str", "cover-items", "bag-sizes"])
+def test_integral_instance_counts_load_as_ints(gen, keys, value, canonical, workdir):
+    # 2, 2.0 and "2" all read as the int 2: the file loads to the same
+    # canonical document as one that spells the count as an int.
+    run_cli("gen", gen, "--n", "3", "--universe", "4", "--k", "2", "--out", "inst.json")
+    with open("inst.json") as fh:
+        doc = json.load(fh)
+    docs = []
+    for v in (value, canonical):
+        _set_field(doc, keys, v)
+        docs.append(json.dumps(instance_to_doc(instance_from_doc(doc))))
+    assert docs[0] == docs[1]
 
 
 @pytest.mark.parametrize("jobs", ["0", "-2"])

@@ -24,7 +24,6 @@ from adasub.engine import (
     _exact_rows,
     _trace,
     _walk,
-    argmax_pairs,
     c_avg_exact,
     cap_value,
     concat,
@@ -744,10 +743,34 @@ def test_marginals_for_and_cap(tiny_cover):
     assert marginals_for(tiny_cover, PartialRealization([(0, 0)]), [0, 1]) == [0.0, 1.0]
 
 
-def test_argmax_pairs_tie_break():
-    assert argmax_pairs([(2, 1.0), (3, 0.5), (4, 1.0)]) == (2, 1.0)
-    with pytest.raises(PolicyBugError):
-        argmax_pairs([])
+def test_greedy_tie_on_bags_picks_smallest_free_id():
+    # Every free bags element scores the same, and a revealed one scores 0, so
+    # each pick is the smallest id neither selected nor revealed.
+    inst = build_bags(3)
+    skipped = 0
+    for phi, _w in inst.prior.support():
+        tr = run_policy(greedy_max(3), inst, phi)
+        selected, revealed = [], set()
+        for e in tr.selected:
+            free = [i for i in range(inst.n) if i not in selected and i not in revealed]
+            assert e == free[0], (phi, tr.selected)
+            skipped += free[0] != min(set(range(inst.n)) - set(selected))
+            selected.append(e)
+            revealed |= {i for i, o in enumerate(phi) if o == phi[e]}
+    assert skipped > 0  # some pick passes over a revealed, unselected id
+
+
+@pytest.mark.parametrize("policy", [greedy_max(4), greedy_coverage()], ids=["plain", "cover"])
+def test_kernel_tie_picks_first_candidate(policy):
+    # Equal scores under a scripted hook: the kernel takes cands[0], the
+    # smallest unselected id, whether it ranks scores or score per unit cost.
+    def fast_sav(inst, psi, pending, cands, ctx, cap=None):
+        return [0.5] * len(cands), 0.5
+
+    inst = dataclasses.replace(build_stochastic_cover(6, 12, 2, seed=3),
+                               fast_marginals=None, fast_sav=fast_sav)
+    tr = run_policy(policy, inst, (0,) * inst.n)
+    assert len(tr.selected) >= 4 and tr.selected == tuple(range(len(tr.selected)))
 
 
 # --- combinators -----------------------------------------------------------------

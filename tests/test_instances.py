@@ -465,7 +465,8 @@ def test_cover_one_live_item_still_branches(monkeypatch):
 @pytest.mark.parametrize("U", [10, 64, 70])
 @pytest.mark.parametrize("weighted", [False, True], ids=["unit", "zero-weights"])
 def test_cover_tables_item_words_match_packed_grid(U, weighted):
-    # The reference packs the (n, m, U) cover grid into little-endian words.
+    # The reference is the definition: (e, o) covers item u when u is in its
+    # cover set and u has positive weight; packed into little-endian words.
     rng = np.random.default_rng(U)
     n, m = 6, 3
     covers = [[[u for u in range(U) if rng.random() < 0.3] for _o in range(m - e % 2)]
@@ -474,9 +475,17 @@ def test_cover_tables_item_words_match_packed_grid(U, weighted):
     utility = CoverUtility(U, covers, weights)
     prior = ProductPrior([[0.5, 0.5, 0.0] if e == 0 else [1 / 3] * 3 for e in range(n)])
     t = _CoverTables(prior, utility)
+    grid = np.zeros((n, m, U), dtype=bool)
+    for e, per_element in enumerate(covers):
+        for o, items in enumerate(per_element):
+            for u in items:
+                grid[e, o, u] = weights is None or weights[u] > 0
     if weighted:
-        assert 0.0 in weights and utility.grid().any()
-    padded = np.pad(utility.grid() > 0, ((0, 0), (0, 0), (0, -U % 64)))
+        assert 0.0 in weights and grid.any()
+        assert any(weights[u] == 0.0 for per_element in covers for s in per_element for u in s)
+    assert t.cover.dtype == bool and np.array_equal(t.cover, grid)
+    assert t.mask.dtype == float and np.array_equal(t.mask, grid.astype(float))
+    padded = np.pad(grid, ((0, 0), (0, 0), (0, -U % 64)))
     words = np.packbits(padded, axis=2, bitorder="little").view(np.uint64)
     reach, leave = [0] * n, [0] * n
     for e, o in zip(*np.nonzero(t.marg > 0)):
@@ -619,6 +628,4 @@ def test_weight_sum_tolerance(tmp_path):
 def test_cover_utility_weighted_grid():
     u = CoverUtility(3, [[[0, 2], [1]], [[], [0]]], weights=[1.0, 2.0, 4.0])
     assert u(PartialRealization([(0, 0)])) == 5.0
-    g = u.grid()
-    assert g.shape == (2, 2, 3)
-    assert g[0, 0].tolist() == [1.0, 0.0, 4.0]
+    assert u(PartialRealization([(0, 1), (1, 1)])) == 3.0

@@ -160,7 +160,21 @@ def test_calibration_brackets_target(anti_inst):
 def test_calibration_sav_mode(anti_inst):
     cal = calibrate_tau(anti_inst, 1, mode="sav")
     assert cal.tau_i == 0.5 and math.isclose(cal.coin_p, 0.5)
-    assert math.isclose(c_avg_exact(cal.policy(mode="sav"), anti_inst), 1.0, abs_tol=1e-9)
+    assert math.isclose(c_avg_exact(cal.policy(), anti_inst), 1.0, abs_tol=1e-9)
+
+
+@pytest.mark.parametrize("mode, suffix", [("marginal", ")"), ("sav", ",sav)")])
+def test_calibration_policy_keeps_its_mode(mode, suffix):
+    # policy() thresholds the score the calibration ranked by; the mode stays
+    # out of the printed repr.
+    inst = build_random_tabular(3, 4, seed=1)
+    for i in range(1, inst.n + 1):
+        cal = calibrate_tau(inst, i, mode)
+        pol = cal.policy()
+        assert pol.name == threshold_policy(cal.tau_i, cal.coin_p, mode).name
+        assert pol.name.endswith(suffix)
+        assert c_avg_exact(pol, inst) == i
+        assert cal.mode == mode and "mode" not in repr(cal)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, "bags", "hidden"])
@@ -177,7 +191,7 @@ def test_calibration_exactness_random(seed, mode):
         inst = build_random_tabular(3, 4, seed=seed)
     for i in range(inst.n + 1):
         cal = calibrate_tau(inst, i, mode=mode)
-        c = c_avg_exact(cal.policy(mode=mode), inst)
+        c = c_avg_exact(cal.policy(), inst)
         assert abs(c - i) <= 1e-9, (seed, mode, i, c)
 
 
