@@ -38,7 +38,7 @@ from .instances import (
     load_instance,
     save_instance,
 )
-from .model import Instance
+from .model import Instance, read_number
 from .policies import (
     calibrate_tau,
     fixed_batch_greedy,
@@ -129,23 +129,15 @@ def _param(p: dict[str, Any], key: str, default: Any = None, kind: type = int,
 
 
 def _number(v: Any, kind: type, what: str) -> int | float:
-    """`v` as a float, or as an int when `kind` is int: anything float() takes
-    is a number, a float must also be finite, and an int must also be integral
-    (2, 2.0 and "2" give 2).  Anything else is malformed input (exit 3)."""
+    """`v` read as `kind` by `model.read_number`; a float must also be finite.
+    Anything else is malformed input (exit 3)."""
     try:
-        x = float(v)
-    except (TypeError, ValueError):
+        x = read_number(v, kind, what)
+    except (TypeError, ValueError, OverflowError):
         raise MalformedInputError(f"{what} is not a number") from None
-    if kind is float:
-        if not math.isfinite(x):
-            raise MalformedInputError(f"{what} is not a finite number: {v!r}")
-        return x
-    if not x.is_integer():
-        raise MalformedInputError(f"{what} is not an integer: {v!r}")
-    try:
-        return int(v)  # exact for ints and digit strings
-    except ValueError:
-        return int(x)  # "2.0"
+    if kind is float and not math.isfinite(x):
+        raise MalformedInputError(f"{what} is not a finite number: {v!r}")
+    return x
 
 
 # --- policy specs -------------------------------------------------------------
@@ -185,11 +177,9 @@ def policy_from_spec(spec: str, inst: Instance, k: int | None = None) -> Policy:
     """
     head, _, rest = spec.partition(":")
     if head == "seq":
-        try:
-            elems = [int(x) for x in rest.split("-")] if rest else []
-        except ValueError as exc:
-            raise MalformedInputError(f"policy spec {spec!r}: bad element list") from exc
-        return fixed_sequence_policy(elems)
+        elems = rest.split("-") if rest else []
+        what = f"policy spec {spec!r}: element"
+        return fixed_sequence_policy([_number(x, int, what) for x in elems])
     opts = _parse_opts(rest, spec)
     if head == "greedy":
         return greedy_max(_need_k(k, spec))
@@ -403,12 +393,13 @@ def cmd_verify(args) -> int:
         sources = [None if inst_path is None else {"file": inst_path}]
     elif inst_path is not None:
         raise MalformedInputError("give either an instance file or --corpus, not both")
-    elif args.seeds < 1:
-        raise MalformedInputError(f"--seeds must be >= 1, got {args.seeds}")
     else:
+        seeds = _param(p, "seeds", 1)
+        if seeds < 1:
+            raise MalformedInputError(f"--seeds must be >= 1, got {seeds}")
         family, defaults = _CORPORA[args.corpus]
         params = {key: _param(p, key, d) for key, d in defaults.items()}
-        sources = [{**params, "family": family, "seed": s} for s in range(args.seeds)]
+        sources = [{**params, "family": family, "seed": s} for s in range(seeds)]
     missing = f"suite {suite!r} needs an instance or --corpus"
     results = [r for src in sources for r in _suite_rows(suite, src, p, missing)]
 
@@ -444,8 +435,9 @@ def _sweep_rows(sweep: dict[str, Any]) -> list[dict[str, str]]:
 
 
 def cmd_experiment(args) -> int:
-    if args.jobs < 1:
-        raise MalformedInputError(f"--jobs must be >= 1, got {args.jobs}")
+    jobs = _param(vars(args), "jobs", 1)
+    if jobs < 1:
+        raise MalformedInputError(f"--jobs must be >= 1, got {jobs}")
     try:
         with open(args.config) as fh:
             config = json.load(fh)
@@ -456,9 +448,9 @@ def cmd_experiment(args) -> int:
     if not isinstance(config, dict) or not isinstance(config.get("sweeps", []), list):
         raise MalformedInputError("experiment config must be an object with a sweeps array")
     sweeps = config.get("sweeps", [])
-    if args.jobs > 1 and len(sweeps) > 1:
+    if jobs > 1 and len(sweeps) > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             row_blocks = list(pool.map(_sweep_rows, sweeps))
     else:
         row_blocks = [_sweep_rows(s) for s in sweeps]
@@ -479,17 +471,17 @@ def build_parser() -> _Parser:
     g = sub.add_parser("gen", help="write a canonical instance file", parents=[])
     g.add_argument("family", choices=("bags", "trunc-pair", "cover", "tabular"))
     for flag in ("--k", "--n", "--m", "--universe", "--outcomes", "--seed"):
-        g.add_argument(flag, type=int)
+        g.add_argument(flag)
     g.add_argument("--out")
     g.set_defaults(func=cmd_gen)
 
     r = sub.add_parser("run", help="evaluate a policy on an instance")
     r.add_argument("instance")
     r.add_argument("policy")
-    r.add_argument("--k", type=int)
+    r.add_argument("--k")
     r.add_argument("--mode", choices=("exact", "mc"), default="exact")
-    r.add_argument("--samples", type=int, default=1000)
-    r.add_argument("--seed", type=int)
+    r.add_argument("--samples")
+    r.add_argument("--seed")
     r.add_argument("--out")
     r.add_argument("--format", choices=("csv", "json"), default="csv")
     r.add_argument("--timing", action="store_true", help="measure wall_ms (off: column is 0)")
@@ -498,22 +490,21 @@ def build_parser() -> _Parser:
     v = sub.add_parser("verify", help="run a verifier suite")
     v.add_argument("target", nargs="+", metavar="[instance] suite")
     v.add_argument("--corpus", choices=("random", "cover"))
-    v.add_argument("--seeds", type=int, default=1)
+    v.add_argument("--seeds")
     v.add_argument("--expect-violation", action="store_true")
     for flag in ("--l", "--i", "--k", "--r", "--n", "--m", "--universe", "--outcomes"):
-        v.add_argument(flag, type=int)
+        v.add_argument(flag)
     v.add_argument("--eps", type=float)
     v.add_argument("--delta", type=float)
-    v.add_argument("--trials", type=int)
-    v.add_argument("--sizes")
-    v.add_argument("--seed", type=int)
+    for flag in ("--trials", "--sizes", "--seed"):
+        v.add_argument(flag)
     v.add_argument("--out")
     v.add_argument("--format", choices=("csv", "json"), default="csv")
     v.set_defaults(func=cmd_verify)
 
     e = sub.add_parser("experiment", help="run a sweep config")
     e.add_argument("config")
-    e.add_argument("--jobs", type=int, default=1)
+    e.add_argument("--jobs")
     e.add_argument("--out")
     e.set_defaults(func=cmd_experiment)
 

@@ -28,6 +28,7 @@ from .model import (
     UtilityFunction,
     cap_value,
     check_finite,
+    read_number,
 )
 
 # --- utility families --------------------------------------------------------
@@ -138,6 +139,8 @@ class ModularUtility(UtilityFunction):
 
     def __init__(self, values: Sequence[Sequence[float]]):
         self.values = tuple(tuple(float(v) for v in row) for row in values)
+        for row in self.values:
+            check_finite("modular value", row)
         self.name = "modular"
 
     def __call__(self, psi: PartialRealization) -> float:
@@ -173,7 +176,14 @@ class BagsPrior(Prior):
         self._base = _base if _base is not None else PartialRealization()
         self._check(self._base)
 
+    def _check_elements(self, psi: PartialRealization) -> None:
+        # psi's pairs are sorted by element, so the first and the last bound the rest
+        for e, _o in psi.pairs[:1] + psi.pairs[-1:]:
+            if not 0 <= e < self.n:
+                raise MalformedInputError(f"element {e} outside ground set of size {self.n}")
+
     def _check(self, psi: PartialRealization) -> list[int]:
+        self._check_elements(psi)
         free = list(self.sizes)
         for e, o in psi.pairs:
             if not (0 <= o < self.num_outcomes):
@@ -253,6 +263,7 @@ class BagsPrior(Prior):
     def mass(self, psi: PartialRealization) -> float:
         # Sequential slot draws for the part of psi beyond the base; 0 if psi
         # disagrees with the base, names no bag or overfills one.
+        self._check_elements(psi)
         base = dict(self._base.pairs)
         free, k = self._check(self._base), self.num_outcomes
         p = 1.0
@@ -709,18 +720,12 @@ def _list(value: Any, where: str) -> list:
 
 
 def _read(value: Any, where: str, kind: type, depth: int) -> Any:
-    """value as numbers read by kind(), in lists depth deep; an int must be
-    integral (2, 2.0 and "2" give int 2, 2.5 is malformed)."""
+    """value as numbers read by model.read_number, in lists depth deep."""
     if not depth:
         try:
-            x = kind(value)
-        except OverflowError:  # int(inf)
-            x = None
-        except (TypeError, ValueError):
+            return read_number(value, kind, where)
+        except (TypeError, ValueError, OverflowError):
             raise MalformedInputError(f"{where} is not a number: {value!r}") from None
-        if kind is int and x != value and not isinstance(value, str):
-            raise MalformedInputError(f"{where} is not an integer: {value!r}")
-        return x
     if depth == 1:
         try:
             out = list(map(kind, _list(value, where)))
@@ -733,11 +738,11 @@ def _read(value: Any, where: str, kind: type, depth: int) -> Any:
 
 def instance_from_doc(doc: dict[str, Any]) -> Instance:
     name = str(_need(doc, "name", "instance"))
-    n = _need(doc, "elements", "instance")
-    num_outcomes = _need(doc, "outcomes", "instance")
-    if not isinstance(n, int) or n < 0:
+    n = _need(doc, "elements", "instance", int)
+    num_outcomes = _need(doc, "outcomes", "instance", int)
+    if n < 0:
         raise MalformedInputError("instance.elements: must be a non-negative integer")
-    if not isinstance(num_outcomes, int) or num_outcomes < 1:
+    if num_outcomes < 1:
         raise MalformedInputError("instance.outcomes: must be a positive integer")
 
     pdoc = _need(doc, "prior", "instance")
@@ -746,22 +751,18 @@ def instance_from_doc(doc: dict[str, Any]) -> Instance:
         rows = []
         raw_sum = 0.0
         for i, row in enumerate(_list(_need(pdoc, "rows", "instance.prior"), "instance.prior.rows")):
-            outs = _list(_need(row, "outcomes", f"instance.prior.rows[{i}]"),
-                         f"instance.prior.rows[{i}].outcomes")
-            w = _need(row, "weight", f"instance.prior.rows[{i}]")
+            where = f"instance.prior.rows[{i}]"
+            outs = _need(row, "outcomes", where, int, 1)
+            w = _need(row, "weight", where, float)
             if len(outs) != n:
-                raise MalformedInputError(
-                    f"instance.prior.rows[{i}]: expected {n} outcomes, got {len(outs)}"
-                )
+                raise MalformedInputError(f"{where}: expected {n} outcomes, got {len(outs)}")
             for e, o in enumerate(outs):
-                if not isinstance(o, int) or not (0 <= o < num_outcomes):
-                    raise MalformedInputError(
-                        f"instance.prior.rows[{i}].outcomes[{e}]: label {o} out of range"
-                    )
-            if not isinstance(w, (int, float)) or w < 0:
-                raise MalformedInputError(f"instance.prior.rows[{i}].weight: must be >= 0")
-            raw_sum += float(w)
-            rows.append((tuple(int(o) for o in outs), float(w)))
+                if not (0 <= o < num_outcomes):
+                    raise MalformedInputError(f"{where}.outcomes[{e}]: label {o} out of range")
+            if w < 0:
+                raise MalformedInputError(f"{where}.weight: must be >= 0")
+            raw_sum += w
+            rows.append((tuple(outs), w))
         if abs(raw_sum - 1.0) > 1e-6:
             raise MalformedInputError(
                 f"instance.prior: weights sum to {raw_sum!r}, outside 1 +/- 1e-6"
@@ -814,7 +815,12 @@ def instance_from_doc(doc: dict[str, Any]) -> Instance:
     elif family == "bag-count":
         utility = BagCountUtility()
     elif family == "match-pair":
-        utility = MatchPairUtility(bool(udoc.get("truncated", False)))
+        truncated = udoc.get("truncated", False)
+        if not isinstance(truncated, bool):
+            raise MalformedInputError(
+                f"instance.utility.truncated must be true or false, got {truncated!r}"
+            )
+        utility = MatchPairUtility(truncated)
     elif family == "modular":
         utility = ModularUtility(_need(udoc, "values", "instance.utility", float, 2))
     else:

@@ -31,17 +31,33 @@ CAP_DEFAULTS = {
 }
 
 
+def read_number(value: object, kind: type, what: str) -> int | float:
+    """`value` as a float, or as an int when `kind` is int: float() decides what
+    is a number (its errors propagate for the caller to word), and an int must
+    also be integral (2, 2.0 and "2" give 2; 2.5 is malformed)."""
+    x = float(value)
+    if kind is float:
+        return x
+    if not x.is_integer():
+        raise MalformedInputError(f"{what} is not an integer: {value!r}")
+    try:
+        return int(value)  # exact for ints and digit strings
+    except ValueError:
+        return int(x)  # "2.0"
+
+
 def cap_value(name: str) -> int:
-    env = os.environ.get("ADASUB_" + name.upper())
-    if env is not None:
-        try:
-            value = int(env)
-        except ValueError as exc:
-            raise MalformedInputError(f"ADASUB_{name.upper()}={env!r} is not an integer") from exc
-        if value < 1:
-            raise MalformedInputError(f"ADASUB_{name.upper()}={env!r} must be at least 1")
-        return value
-    return CAP_DEFAULTS[name]
+    var = "ADASUB_" + name.upper()
+    env = os.environ.get(var)
+    if env is None:
+        return CAP_DEFAULTS[name]
+    try:
+        value = read_number(env, int, var)
+    except ValueError:
+        raise MalformedInputError(f"{var}={env!r} is not an integer") from None
+    if value < 1:
+        raise MalformedInputError(f"{var}={env!r} must be at least 1")
+    return value
 
 
 def check_finite(what: str, values: Iterable[float]) -> None:
@@ -312,12 +328,14 @@ class TablePrior(Prior):
         return tuple((o, math.fsum(ws) / total) for o, ws in sorted(acc.items()))
 
     def condition(self, psi: PartialRealization) -> "TablePrior":
+        _validate_psi_range(psi, self.n, self.num_outcomes)
         rows = list(self._consistent_rows(psi))
         if not rows:
             raise InconsistentObservationError(f"no prior mass consistent with {psi!r}")
         return TablePrior(rows, num_outcomes=self.num_outcomes)
 
     def mass(self, psi: PartialRealization) -> float:
+        _validate_psi_range(psi, self.n, self.num_outcomes)
         return math.fsum(w for _, w in self._consistent_rows(psi))
 
     def min_weight(self) -> float:
@@ -326,6 +344,7 @@ class TablePrior(Prior):
     def joint_dist(
         self, psi: PartialRealization, elements: Sequence[int], cap: int
     ) -> list[tuple[tuple[int, ...], float]]:
+        _validate_psi_range(psi, self.n, self.num_outcomes)
         acc: dict[tuple[int, ...], list[float]] = {}
         for t, w in self._consistent_rows(psi):
             acc.setdefault(tuple(t[e] for e in elements), []).append(w)

@@ -494,7 +494,12 @@ def test_malformed_instance_field_is_malformed(gen, keys, value, error, workdir,
     ("cover", ("utility", "covers", 0, 0), [0, 1.5],
      "instance.utility.covers[0][0][1] is not an integer: 1.5"),
     ("bags", ("prior", "sizes"), [1, 2.9], "instance.prior.sizes[1] is not an integer: 2.9"),
-], ids=["universe", "universe-inf", "cover-item", "bag-size"])
+    ("cover", ("elements",), 2.5, "instance.elements is not an integer: 2.5"),
+    ("cover", ("outcomes",), "2.5", "instance.outcomes is not an integer: '2.5'"),
+    ("tabular", ("prior", "rows", 0, "outcomes", 0), 0.5,
+     "instance.prior.rows[0].outcomes[0] is not an integer: 0.5"),
+], ids=["universe", "universe-inf", "cover-item", "bag-size", "elements", "outcomes",
+        "table-label"])
 def test_non_integral_instance_count_is_malformed(gen, keys, value, error, workdir, capsys):
     _assert_field_is_malformed(gen, keys, value, error, capsys)
 
@@ -504,11 +509,20 @@ def test_non_integral_instance_count_is_malformed(gen, keys, value, error, workd
     ("cover", ("utility", "universe"), "4", 4),
     ("cover", ("utility", "covers", 1, 0), [0.0, "1", 2], [0, 1, 2]),
     ("bags", ("prior", "sizes"), [1.0, "2"], [1, 2]),
-], ids=["universe-float", "universe-str", "cover-items", "bag-sizes"])
+    ("cover", ("utility", "universe"), "4.0", 4),
+    ("cover", ("elements",), 3.0, 3),
+    ("cover", ("outcomes",), "2.0", 2),
+    ("tabular", ("prior", "rows", 0, "outcomes", 0), 0.0, 0),
+    ("tabular", ("prior", "rows"),
+     [{"outcomes": [0, 1, 0], "weight": "0.5"}, {"outcomes": [1, 0, 1], "weight": 0.5}],
+     [{"outcomes": [0, 1, 0], "weight": 0.5}, {"outcomes": [1, 0, 1], "weight": 0.5}]),
+], ids=["universe-float", "universe-str", "cover-items", "bag-sizes", "universe-float-str",
+        "elements", "outcomes", "table-label", "table-weight"])
 def test_integral_instance_counts_load_as_ints(gen, keys, value, canonical, workdir):
-    # 2, 2.0 and "2" all read as the int 2: the file loads to the same
-    # canonical document as one that spells the count as an int.
-    run_cli("gen", gen, "--n", "3", "--universe", "4", "--k", "2", "--out", "inst.json")
+    # 2, 2.0, "2" and "2.0" all read as the int 2 (and "0.5" as the float
+    # 0.5): the file loads to the same canonical document as one that
+    # spells the number as a JSON number.
+    run_cli("gen", gen, "--n", "3", "--universe", "4", "--k", "2", "--m", "4", "--out", "inst.json")
     with open("inst.json") as fh:
         doc = json.load(fh)
     docs = []
@@ -516,6 +530,71 @@ def test_integral_instance_counts_load_as_ints(gen, keys, value, canonical, work
         _set_field(doc, keys, v)
         docs.append(json.dumps(instance_to_doc(instance_from_doc(doc))))
     assert docs[0] == docs[1]
+
+
+@pytest.mark.parametrize("spelled, plain", [
+    ((("run", "BAGS", "greedy", "--k", "2.0"), {}), (("run", "BAGS", "greedy", "--k", "2"), {})),
+    ((("run", "BAGS", "seq:0.0-1"), {}), (("run", "BAGS", "seq:0-1"), {})),
+    ((("run", "BAGS", "greedy", "--k", "2", "--mode", "mc", "--samples", "2e1", "--seed", "1.0"), {}),
+     (("run", "BAGS", "greedy", "--k", "2", "--mode", "mc", "--samples", "20", "--seed", "1"), {})),
+    ((("verify", "--corpus", "random", "--seeds", "2.0", "--n", "3.0", "monotone"), {}),
+     (("verify", "--corpus", "random", "--seeds", "2", "--n", "3", "monotone"), {})),
+    ((("verify", "hardness", "--k", "2.0", "--r", "2.0", "--trials", "20.0"), {}),
+     (("verify", "hardness", "--k", "2", "--r", "2", "--trials", "20"), {})),
+    ((("run", "BAGS", "greedy", "--k", "2"), {"ADASUB_MAX_SUPPORT": "1e6"}),
+     (("run", "BAGS", "greedy", "--k", "2"), {"ADASUB_MAX_SUPPORT": "1000000"})),
+], ids=["run-k", "seq", "run-mc", "verify-corpus", "verify-hardness", "cap"])
+def test_integral_flags_specs_and_caps_read_as_ints(spelled, plain, bags3_file, monkeypatch,
+                                                     capsys):
+    # a flag, a seq: element and an ADASUB_* cap follow the one integer rule:
+    # 2.0 and 1e6 are the integers 2 and 1000000
+    results = []
+    for argv, env in (spelled, plain):
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        code = run_cli(*(bags3_file if a == "BAGS" else a for a in argv))
+        results.append((code, capsys.readouterr()))
+    assert results[0] == results[1]
+    assert results[0][0] != EXIT_MALFORMED
+
+
+@pytest.mark.parametrize("argv, env, error", [
+    (("run", "BAGS", "greedy", "--k", "2.5"), {}, "k is not an integer: '2.5'"),
+    (("run", "BAGS", "greedy", "--k", "x"), {}, "k is not a number"),
+    (("run", "BAGS", "seq:0.5-1"), {},
+     "policy spec 'seq:0.5-1': element is not an integer: '0.5'"),
+    (("run", "BAGS", "seq:1-x"), {}, "policy spec 'seq:1-x': element is not a number"),
+    (("verify", "--corpus", "random", "--seeds", "2.5", "monotone"), {},
+     "seeds is not an integer: '2.5'"),
+    (("experiment", "exp.json", "--jobs", "2.5"), {}, "jobs is not an integer: '2.5'"),
+    (("run", "BAGS", "greedy", "--k", "2"), {"ADASUB_MAX_SUPPORT": "2.5"},
+     "ADASUB_MAX_SUPPORT is not an integer: '2.5'"),
+], ids=["k", "k-text", "seq", "seq-text", "seeds", "jobs", "cap"])
+def test_non_integral_flags_specs_and_caps_are_malformed(argv, env, error, bags3_file,
+                                                          monkeypatch, capsys):
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    assert run_cli(*(bags3_file if a == "BAGS" else a for a in argv)) == EXIT_MALFORMED
+    assert capsys.readouterr().err == f"adasub: error: {error}\n"
+
+
+@pytest.mark.parametrize("value", ["false", 0, None])
+def test_truncated_flag_must_be_a_json_boolean(value, workdir, capsys):
+    run_cli("gen", "trunc-pair", "--out", "t.json")
+    with open("t-f.json") as fh:
+        doc = json.load(fh)
+    doc["utility"]["truncated"] = value
+    with open("t-f.json", "w") as fh:
+        json.dump(doc, fh)
+    capsys.readouterr()
+    assert run_cli("run", "t-f.json", "greedy", "--k", "1") == EXIT_MALFORMED
+    assert capsys.readouterr().err == (
+        f"adasub: error: instance.utility.truncated must be true or false, got {value!r}\n"
+    )
+    del doc["utility"]["truncated"]  # an absent flag means false
+    assert instance_from_doc(doc).utility.name == "match-pair"
+    doc["utility"]["truncated"] = True
+    assert instance_from_doc(doc).utility.name == "match-pair-trunc"
 
 
 @pytest.mark.parametrize("jobs", ["0", "-2"])

@@ -55,6 +55,25 @@ def test_bags_shape(bags3):
     assert bags3.coverage is not None and bags3.coverage.quota == 3.0
 
 
+@pytest.mark.parametrize("e", [-1, 3])
+@pytest.mark.parametrize("method", ["mass", "condition", "joint_dist"])
+def test_table_prior_rejects_element_outside_ground_set(method, e):
+    prior = build_random_tabular(3, 4, 0).prior
+    args = ([1], 10) if method == "joint_dist" else ()
+    with pytest.raises(MalformedInputError, match=f"^element {e} outside ground set of size 3$"):
+        getattr(prior, method)(PartialRealization({e: 0}), *args)
+
+
+@pytest.mark.parametrize("e", [-1, 99])
+@pytest.mark.parametrize("method", ["mass", "condition", "outcome_dist"])
+def test_bags_prior_rejects_element_outside_ground_set(method, e):
+    # with an in-range element beside it, so either end of the sorted pairs is checked
+    prior = build_bags(3).prior
+    args = (0,) if method == "outcome_dist" else ()
+    with pytest.raises(MalformedInputError, match=f"^element {e} outside ground set of size 7$"):
+        getattr(prior, method)(*args, PartialRealization({e: 2, 3: 2}))
+
+
 def test_bags_param_guards():
     with pytest.raises(MalformedInputError):
         build_bags(0)

@@ -22,6 +22,7 @@ from adasub.model import (
     expand_product,
     is_consistent,
     is_subrealization,
+    read_number,
 )
 
 # --- partial realizations -------------------------------------------------------
@@ -383,6 +384,28 @@ def test_coverage_spec_validation():
         CoverageSpec(quota=1.0, costs=(1.0, -1.0))
 
 
+@pytest.mark.parametrize("value, kind, expected", [
+    (2, int, 2), (2.0, int, 2), ("2", int, 2), ("2.0", int, 2), (" 1e6 ", int, 10**6),
+    ("12345678901234567891", int, 12345678901234567891), (-3.0, int, -3),
+    (2, float, 2.0), ("0.5", float, 0.5), ("inf", float, math.inf),
+])
+def test_read_number_one_rule(value, kind, expected):
+    x = read_number(value, kind, "v")
+    assert x == expected and type(x) is kind
+
+
+@pytest.mark.parametrize("value", [2.5, "2.5", math.nan, math.inf])
+def test_read_number_rejects_non_integral(value):
+    with pytest.raises(MalformedInputError, match=f"^v is not an integer: {value!r}$"):
+        read_number(value, int, "v")
+
+
+@pytest.mark.parametrize("value, error", [("x", ValueError), (None, TypeError), ([2], TypeError)])
+def test_read_number_leaves_non_numbers_to_the_caller(value, error):
+    with pytest.raises(error):
+        read_number(value, int, "v")
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_non_finite_input_is_malformed(bad):
     for make, what in (
@@ -392,6 +415,7 @@ def test_non_finite_input_is_malformed(bad):
         (lambda: ProductPrior([[0.5, 0.5], [bad, 0.5]]), "marginal probability"),
         (lambda: TablePrior([((0,), 1.0), ((1,), bad)]), "realization weight"),
         (lambda: CoverUtility(2, [[[0], [1]]], weights=[1.0, bad]), "item weight"),
+        (lambda: ModularUtility([[0.0, 1.0], [bad, 0.5]]), "modular value"),
     ):
         with pytest.raises(MalformedInputError, match=f"^{what} is not a finite number: {bad}$"):
             make()
