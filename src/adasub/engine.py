@@ -245,16 +245,24 @@ def marginals_for(
     cands: list[int],
     cap: float | None = None,
 ) -> list[float]:
-    """Marginal of every candidate; observed candidates score 0.  The
-    instance's fast_marginals hook answers first, else _cached_marginals.
+    """Marginal of every candidate; observed candidates score 0, and one
+    outside [0, n) raises MalformedInputError.  The instance's fast_marginals
+    hook answers first; where it returns None (the instance's prior and
+    utility are not its family), _cached_marginals does.
 
     With cap=Q the utility is replaced by min(f, Q), so gains past the quota
     do not count.  Coverage policies score with the cap; budget policies
     score with the raw utility.
     """
-    if inst.fast_marginals is not None:
-        return inst.fast_marginals(inst, psi, cands, cap)
-    return _cached_marginals(inst, psi, cands, cap)
+    _check_elements(inst, cands)
+    out = inst.fast_marginals and inst.fast_marginals(inst, psi, cands, cap)
+    return _cached_marginals(inst, psi, cands, cap) if out is None else out
+
+
+def _check_elements(inst: Instance, elems: Iterable[int]) -> None:
+    for e in elems:
+        if not 0 <= e < inst.n:
+            raise MalformedInputError(f"element {e} outside ground set of size {inst.n}")
 
 
 def _cached_marginals(inst: Instance, psi: PartialRealization, cands: list[int],

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 from typing import Any, Iterable, Sequence
+from weakref import WeakKeyDictionary
 
 from .errors import (
     InconsistentObservationError,
@@ -253,6 +254,8 @@ class BagsPrior(Prior):
         merged = self._merged(psi)
         if e in merged:
             raise AlreadyObservedError(f"element {e} already observed")
+        if not 0 <= e < self.n:
+            raise MalformedInputError(f"element {e} outside ground set of size {self.n}")
         free = self._check(merged)
         left = self.n - len(merged)
         return tuple((j, free[j] / left) for j in range(self.num_outcomes) if free[j] > 0)
@@ -294,10 +297,13 @@ def _bags_reveal(phi: Realization, e: int) -> list[tuple[int, int]]:
 
 
 def _bags_fast_marginals(inst: Instance, psi: PartialRealization, cands, cap=None):
-    return _bags_fast_sav(inst, psi, [], cands, None, cap)[0]
+    return (_bags_fast_sav(inst, psi, [], cands, None, cap) or (None,))[0]
 
 
 def _bags_fast_sav(inst: Instance, psi: PartialRealization, pending, cands, ctx, cap=None):
+    """Closed-form bags scores; None for any other (prior, utility) pair."""
+    if not (isinstance(inst.prior, BagsPrior) and isinstance(inst.utility, BagCountUtility)):
+        return None
     sizes = inst.prior.sizes
     k = len(sizes)
     seen = {o for _e, o in psi.pairs}
@@ -455,8 +461,41 @@ class _CoverTables:
             self.leave[e] |= ~bits[e][o] & ((1 << U) - 1)
 
 
-def _cover_fast_hooks(prior: ProductPrior, utility: CoverUtility):
-    """Vectorized marginal/batch scoring for product priors over cover systems.
+_COVER_TABLES: "WeakKeyDictionary[Instance, _CoverTables]" = WeakKeyDictionary()
+
+
+def _cover_branches(t: _CoverTables, pending: list[int], ctx):
+    """Covered-item words (B, ceil(U/64)) and weights (B,) of the batch's
+    joint outcomes: all of them, in itertools.product order, under the
+    branch cap; else seeded samples."""
+    import numpy as np
+    sizes = t.nopts[pending]
+    count = math.prod(sizes.tolist())
+    if count <= cap_value("branch_cap"):
+        idx = np.indices(tuple(sizes)).reshape(len(pending), count)
+        ws = np.ones(count)
+        for p, row in zip(pending, idx):
+            ws *= t.probs[p, row]
+    else:
+        ctx.flags.add("sav-mc")
+        B = cap_value("mc_fallback")
+        # One (q, B) draw reads the same stream as q draws of B, one per
+        # pending element; each index is a right-side searchsorted.
+        u = ctx.rng.random((len(pending), B))
+        idx = np.zeros(u.shape, dtype=int)
+        for j in range(t.marg.shape[1]):
+            idx += t.cum[pending, j][:, None] <= u
+        idx = np.minimum(idx, sizes[:, None] - 1)
+        ws = np.full(B, 1.0 / B)
+    packed = t.words[pending[0], t.labels[pending[0], idx[0]]]
+    for p, row in zip(pending[1:], idx[1:]):
+        packed |= t.words[p, t.labels[p, row]]
+    return packed, ws
+
+
+def _cover_fast_sav(inst: Instance, psi: PartialRealization, pending, cands, ctx, cap=None):
+    """Vectorized scores for a product prior over a cover system, from tables
+    kept while inst lives; None for any other (prior, utility) pair.
 
     Under the independent prior an item stays uncovered through the pending
     batch with probability prod_p miss[p, u], so uncapped batch scores are
@@ -465,92 +504,62 @@ def _cover_fast_hooks(prior: ProductPrior, utility: CoverUtility):
     E_b[max_e marginal] and quota-capped scores walk the batch's joint
     branches: enumerated under the branch cap, sampled past it ("sav-mc").
     """
+    utility = inst.utility
+    if not (isinstance(inst.prior, ProductPrior) and isinstance(utility, CoverUtility)):
+        return None
+    t = _COVER_TABLES.get(inst) or _COVER_TABLES.setdefault(inst, _CoverTables(inst.prior, utility))
     import numpy as np
-
-    n = prior.n
-    U = utility.universe
-    m = utility.num_outcomes()
-    tables = None  # built on the first fast_sav call
-
-    def _branches(t: _CoverTables, pending: list[int], ctx):
-        """Covered-item words (B, ceil(U/64)) and weights (B,) of the batch's
-        joint outcomes: all of them, in itertools.product order, under the
-        branch cap; else seeded samples."""
-        sizes = t.nopts[pending]
-        count = math.prod(sizes.tolist())
-        if count <= cap_value("branch_cap"):
-            idx = np.indices(tuple(sizes)).reshape(len(pending), count)
-            ws = np.ones(count)
-            for p, row in zip(pending, idx):
-                ws *= t.probs[p, row]
-        else:
-            ctx.flags.add("sav-mc")
-            B = cap_value("mc_fallback")
-            # One (q, B) draw reads the same stream as q draws of B, one per
-            # pending element; each index is a right-side searchsorted.
-            u = ctx.rng.random((len(pending), B))
-            idx = np.zeros(u.shape, dtype=int)
-            for j in range(m):
-                idx += t.cum[pending, j][:, None] <= u
-            idx = np.minimum(idx, sizes[:, None] - 1)
-            ws = np.full(B, 1.0 / B)
-        packed = t.words[pending[0], t.labels[pending[0], idx[0]]]
-        for p, row in zip(pending[1:], idx[1:]):
-            packed |= t.words[p, t.labels[p, row]]
-        return packed, ws
-
-    def fast_sav(inst, psi, pending, cands, ctx, cap=None):
-        nonlocal tables
-        if tables is None:
-            tables = _CoverTables(prior, utility)
-        t = tables
-        pending = list(pending)
-        blocked = set(psi.domain) | set(pending)
-        # No live item (uncovered by psi, missed with positive mass by every
-        # pending element, reachable by an allowed one): every gain is exactly 0.
-        live = ~utility.covered_bits(psi)
-        for p in pending:
-            live &= t.leave[p]
-        reach = 0
-        for e in set(range(n)) - blocked:
-            reach |= t.reach[e]
-        if not live & reach:
-            return [0.0 for _ in cands], 0.0
-        covered = t.cover[[e for e, _o in psi.pairs], [o for _e, o in psi.pairs]].any(axis=0)
-        uw = t.w_items * ~covered
-        allowed = np.array([e not in blocked for e in range(n)])
-        denom = None
-        if pending:
-            packed, ws = _branches(t, pending, ctx)
-            bits = np.unpackbits(packed.view(np.uint8), axis=1, count=U, bitorder="little")
-            R = uw * (bits == 0)  # (B, U) weights still uncovered per branch
-            if cap is None:
-                # The reference term needs the branches; the scores do not.
-                denom = float(ws @ (R @ t.H[allowed].T).max(axis=1))
-                R = (uw * t.miss[pending].prod(axis=0))[None, :]
-                ws = np.ones(1)
-        else:
-            R = uw[None, :]
+    n, U, m = inst.n, utility.universe, t.marg.shape[1]
+    pending = list(pending)
+    blocked = set(psi.domain) | set(pending)
+    # No live item (uncovered by psi, missed with positive mass by every
+    # pending element, reachable by an allowed one): every gain is exactly 0.
+    live = ~utility.covered_bits(psi)
+    for p in pending:
+        live &= t.leave[p]
+    reach = 0
+    for e in set(range(n)) - blocked:
+        reach |= t.reach[e]
+    if not live & reach:
+        return [0.0 for _ in cands], 0.0
+    covered = t.cover[[e for e, _o in psi.pairs], [o for _e, o in psi.pairs]].any(axis=0)
+    uw = t.w_items * ~covered
+    allowed = np.array([e not in blocked for e in range(n)])
+    denom = None
+    if pending:
+        packed, ws = _cover_branches(t, pending, ctx)
+        bits = np.unpackbits(packed.view(np.uint8), axis=1, count=U, bitorder="little")
+        R = uw * (bits == 0)  # (B, U) weights still uncovered per branch
+        if cap is None:
+            # The reference term needs the branches; the scores do not.
+            denom = float(ws @ (R @ t.H[allowed].T).max(axis=1))
+            R = (uw * t.miss[pending].prod(axis=0))[None, :]
             ws = np.ones(1)
-        B = R.shape[0]
-        gains = R @ t.mask.reshape(n * m, U).T  # (B, n*m)
-        if cap is not None:
-            base_val = float(t.w_items[covered].sum())
-            val_b = base_val + (uw.sum() - R.sum(axis=1))
-            headroom = np.maximum(cap - val_b, 0.0)
-            gains = np.minimum(gains, headroom[:, None])
-        eg = (gains.reshape(B, n, m) * t.marg[None, :, :]).sum(axis=2)  # (B, n)
-        sav_all = ws @ eg
-        if denom is None:
-            denom = float(ws @ eg[:, allowed].max(axis=1))
-        savs = [0.0 if e in blocked else float(sav_all[e]) for e in cands]
-        return savs, denom
+    else:
+        R = uw[None, :]
+        ws = np.ones(1)
+    B = R.shape[0]
+    gains = R @ t.mask.reshape(n * m, U).T  # (B, n*m)
+    if cap is not None:
+        base_val = float(t.w_items[covered].sum())
+        val_b = base_val + (uw.sum() - R.sum(axis=1))
+        headroom = np.maximum(cap - val_b, 0.0)
+        gains = np.minimum(gains, headroom[:, None])
+    eg = (gains.reshape(B, n, m) * t.marg[None, :, :]).sum(axis=2)  # (B, n)
+    sav_all = ws @ eg
+    if denom is None:
+        denom = float(ws @ eg[:, allowed].max(axis=1))
+    savs = [0.0 if e in blocked else float(sav_all[e]) for e in cands]
+    return savs, denom
 
-    def fast_marginals(inst, psi, cands, cap=None):
-        savs, _denom = fast_sav(inst, psi, [], cands, None, cap)
-        return savs
 
-    return fast_marginals, fast_sav
+def _cover_fast_marginals(inst: Instance, psi: PartialRealization, cands, cap=None):
+    return (_cover_fast_sav(inst, psi, [], cands, None, cap) or (None,))[0]
+
+
+def _cover_fast_hooks(prior: ProductPrior, utility: CoverUtility):
+    """The cover scorer hooks, which bench/tracing.py wraps through this name."""
+    return _cover_fast_marginals, _cover_fast_sav
 
 
 def build_stochastic_cover(

@@ -507,6 +507,8 @@ class Instance:
         policies score every decision state, empty batch included;
         fast_marginals has that of engine.marginals_for and serves it.  Both
         are exact except where the _sav_and_denom docstring says ("sav-mc").
+        A hook reads the prior and utility of the instance it is handed and
+        returns None outside its family; the definition then answers.
     """
 
     name: str

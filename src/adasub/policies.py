@@ -27,6 +27,7 @@ from .engine import (
     Policy,
     PolicyContext,
     Select,
+    _check_elements,
     _checked_support,
     _walk,
     marginals_for,
@@ -335,15 +336,17 @@ def _sav_and_denom(
     every element outside psi and the batch, whatever the candidates: the
     per-branch best the fully adaptive policy would see (0.0, with zero
     scores, when no such element is left).  cap=Q scores against min(f, Q).
-    The instance's fast_sav hook answers first.  Otherwise an empty batch is
+    The instance's fast_sav hook answers first; where it returns None (the
+    instance's prior and utility are not its family), an empty batch is
     one marginals_for call, and a non-empty one is exact when its joint
     enumerates under the branch cap, else a seeded Monte Carlo fallback
     flagged "sav-mc".  The cover hook on product priors scores uncapped and
     dead batches (no reachable item left uncovered) exactly, without branches,
     so there "sav-mc" means a sample entered a nonzero reference term or score.
     """
-    if inst.fast_sav is not None:
-        return inst.fast_sav(inst, psi, pending, cands, ctx, cap)
+    out = inst.fast_sav and inst.fast_sav(inst, psi, pending, cands, ctx, cap)
+    if out is not None:
+        return out
     blocked = set(psi.domain) | set(pending)
     free = [e for e in range(inst.n) if e not in blocked]
     if not free:
@@ -385,6 +388,7 @@ def sav_values(
     pend = list(pending)
     blocked = set(psi.domain) | set(pend)
     cl = list(cands) if cands is not None else [e for e in range(inst.n) if e not in blocked]
+    _check_elements(inst, pend + cl)
     ctx = ctx or PolicyContext(seed=0)
     savs, _ = _sav_and_denom(inst, psi, pend, cl, ctx, cap)
     return savs
@@ -422,6 +426,7 @@ def semi_adaptive_value(
     ctx: PolicyContext | None = None,
 ) -> float:
     """Expected marginal of e once the pending batch resolves, given psi."""
+    _check_elements(inst, [e, *state.pending])
     if e in state.psi or e in state.pending:
         raise AlreadyObservedError(f"element {e} is already in the decision state")
     ctx = ctx or PolicyContext(seed=EXACT_SEED)

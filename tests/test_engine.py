@@ -44,6 +44,7 @@ from adasub.errors import (
     TooLargeError,
 )
 from adasub.instances import (
+    CoverUtility,
     ModularUtility,
     build_bags,
     build_random_tabular,
@@ -590,7 +591,14 @@ def test_exact_rows_come_in_leaf_batches_valued_once_per_outcome_tuple():
     tuples = sum(len({tuple(phi[e] for e in leaf[1]) for _j, phi, _w in leaf[0]})
                  for *_, leaf in leaves)
     calls = []
-    counted = dataclasses.replace(inst, utility=lambda psi: calls.append(psi) or inst.utility(psi))
+
+    class CountedCover(CoverUtility):  # still a cover, so the cover scorer still applies
+        def __call__(self, psi):
+            calls.append(psi)
+            return super().__call__(psi)
+
+    u = inst.utility
+    counted = dataclasses.replace(inst, utility=CountedCover(u.universe, u.covers, u.weights))
     assert evaluate_exact(pol, counted) == evaluate_exact(pol, inst)
     assert len(calls) == tuples
 

@@ -1,8 +1,10 @@
 """Instance families, observation hooks, and (de)serialization."""
 import dataclasses
+import gc
 import json
 import math
 import os
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -15,9 +17,12 @@ from adasub.errors import (
     TooLargeError,
 )
 from adasub.instances import (
+    _COVER_TABLES,
     BagsPrior,
     CoverUtility,
+    ModularUtility,
     _CoverTables,
+    _hooks,
     build_bags,
     build_random_tabular,
     build_stochastic_cover,
@@ -32,10 +37,13 @@ from adasub.policies import (
     SemiAdaptiveState,
     _sav_and_denom,
     greedy_coverage,
+    greedy_max,
     information_gap,
     optimal_coverage_cost,
     sav_values,
     semi_adaptive_greedy_coverage,
+    semi_adaptive_greedy_max,
+    semi_adaptive_value,
 )
 from adasub.verifiers import verify_eta
 
@@ -65,13 +73,16 @@ def test_table_prior_rejects_element_outside_ground_set(method, e):
 
 
 @pytest.mark.parametrize("e", [-1, 99])
-@pytest.mark.parametrize("method", ["mass", "condition", "outcome_dist"])
+@pytest.mark.parametrize("method", ["mass", "condition", "outcome_dist", "outcome_dist(e)"])
 def test_bags_prior_rejects_element_outside_ground_set(method, e):
     # with an in-range element beside it, so either end of the sorted pairs is checked
     prior = build_bags(3).prior
     args = (0,) if method == "outcome_dist" else ()
+    psi = PartialRealization({e: 2, 3: 2})
+    if method == "outcome_dist(e)":  # the queried element itself
+        method, args, psi = "outcome_dist", (e,), PartialRealization({3: 2})
     with pytest.raises(MalformedInputError, match=f"^element {e} outside ground set of size 7$"):
-        getattr(prior, method)(*args, PartialRealization({e: 2, 3: 2}))
+        getattr(prior, method)(*args, psi)
 
 
 def test_bags_param_guards():
@@ -573,6 +584,73 @@ def test_golden_files_match_builders(tmp_path):
         out = tmp_path / fname
         save_instance(inst, str(out))
         assert out.read_bytes() == (GOLDEN / fname).read_bytes(), fname
+
+
+def _replaced(case):
+    """An instance whose prior or utility dataclasses.replace swapped."""
+    cover, bags = build_stochastic_cover(6, 10, 2, seed=1), build_bags(3)
+    u = cover.utility
+    if case == "cover-prior":
+        return dataclasses.replace(cover, prior=ProductPrior([[0.9, 0.1]] * 6))
+    if case == "cover-weights":
+        weights = [0.5 + 0.25 * (i % 7) for i in range(u.universe)]
+        return dataclasses.replace(cover, utility=CoverUtility(u.universe, u.covers, weights))
+    return dataclasses.replace(bags, utility=ModularUtility([[e, 0, 0] for e in range(7)]))
+
+
+@pytest.mark.parametrize("case", ["cover-prior", "cover-weights", "bags-modular"])
+def test_replaced_prior_or_utility_scores_the_new_model(case):
+    inst = _replaced(case)
+    plain = dataclasses.replace(inst, fast_marginals=None, fast_sav=None)
+    # The hooks a fresh build of the new pair gets, bound to no earlier model.
+    fresh = dataclasses.replace(inst, **_hooks(inst.prior, inst.utility))
+    if case == "cover-prior":  # the definition's figures; the stale hook read 3.904, 2.749, 7.519
+        assert marginals_for(inst, EMPTY, [2, 3, 4]) == pytest.approx([4.8, 2.2, 7.8], abs=1e-12)
+    rng = np.random.default_rng(27)
+    for _ in range(20):
+        phi = inst.prior.sample(rng)
+        order = [int(e) for e in rng.permutation(inst.n)]
+        cut = int(rng.integers(0, inst.n - 1))
+        psi = PartialRealization([(e, phi[e]) for e in order[:cut]])
+        pending = order[cut: cut + int(rng.integers(0, 3))]
+        cands = order[cut:]
+        for cap in (None, 2.0):
+            got = [marginals_for(x, psi, cands, cap) for x in (inst, fresh, plain)]
+            got += [sav_values(x, psi, pending, None, PolicyContext(seed=EXACT_SEED), cap)
+                    for x in (inst, fresh, plain)]
+            for hooked, same, definition in (got[:3], got[3:]):
+                assert hooked == same, (psi, pending, cap)
+                assert hooked == pytest.approx(definition, rel=0, abs=1e-12), (psi, pending, cap)
+    for pol in (greedy_max(1), greedy_max(3), semi_adaptive_greedy_max(3, 0.2)):
+        assert evaluate_exact(pol, inst) == evaluate_exact(pol, plain), pol.name
+
+
+def test_cover_tables_go_with_their_instance():
+    inst = build_stochastic_cover(6, 10, 2, seed=1)
+    marginals_for(inst, EMPTY, [0])
+    held, tables = weakref.ref(inst), weakref.ref(_COVER_TABLES[inst])
+    del inst
+    gc.collect()
+    assert held() is None and tables() is None
+
+
+@pytest.mark.parametrize("e", [-1, "n"])
+@pytest.mark.parametrize("hooked", [True, False], ids=["hooked", "plain"])
+@pytest.mark.parametrize("family", ["cover", "bags"])
+def test_scoring_entry_points_reject_elements_outside_ground_set(family, hooked, e):
+    inst = build_stochastic_cover(6, 10, 2, seed=1) if family == "cover" else build_bags(3)
+    if not hooked:
+        inst = dataclasses.replace(inst, fast_marginals=None, fast_sav=None)
+    e = inst.n if e == "n" else e
+    state, pending_e = SemiAdaptiveState.make(EMPTY, [0]), SemiAdaptiveState.make(EMPTY, [e])
+    for score in (lambda: marginals_for(inst, EMPTY, [1, e]),
+                  lambda: sav_values(inst, EMPTY, [0], [e]),
+                  lambda: sav_values(inst, EMPTY, [e], [1]),  # a pending element too
+                  lambda: semi_adaptive_value(inst, state, e),
+                  lambda: semi_adaptive_value(inst, pending_e, 1)):
+        with pytest.raises(MalformedInputError,
+                           match=f"^element {e} outside ground set of size {inst.n}$"):
+            score()
 
 
 def test_loaded_instances_keep_hooks(tmp_path):
