@@ -39,6 +39,7 @@ import numpy as np
 
 from adasub import (
     CoverageSpec,
+    Instance,
     PartialRealization,
     Policy,
     PolicyContext,
@@ -358,9 +359,10 @@ def main() -> None:
         attempt(("dead-batch", big.name, psi.pairs, (15, 18, 2, 8)),
                 scored_state, big, psi, [15, 18, 2, 8])
     with env(branch_cap=3, mc_fallback=200):
+        # The constructor sets no scorer hook, whatever hook fields Instance has.
         targets = [t for inst in covers[:3] + [covers[-1], bags]
-                   for t in (inst, dataclasses.replace(inst, name=inst.name + "-plain",
-                                                       fast_marginals=None, fast_sav=None))]
+                   for t in (inst, Instance(inst.name + "-plain", inst.n, inst.num_outcomes,
+                                            inst.prior, inst.utility, inst.coverage, inst.reveal))]
         for target in targets:
             batch_scores(target, 5)
             for pol in policies(target, 3):

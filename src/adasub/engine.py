@@ -46,7 +46,9 @@ from .model import (
     Prior,
     Realization,
     UtilityFunction,
+    _validate_psi_range,
     cap_value,
+    check_elements,
 )
 
 
@@ -223,8 +225,8 @@ def marginal(
 ) -> float:
     """Expected gain of observing element e on top of psi.
 
-    Strict contract version: e must not be in dom(psi).  Policies use
-    marginals_for, which returns 0 for already-observed elements instead.
+    Strict contract version: e must not be in dom(psi).  marginals_for and
+    the policies' scores give 0 for already-observed elements instead.
     With cap=Q the utility is replaced by min(f, Q).  base, when given, is
     f(psi), so a caller scoring many elements evaluates it once.
     """
@@ -245,24 +247,20 @@ def marginals_for(
     cands: list[int],
     cap: float | None = None,
 ) -> list[float]:
-    """Marginal of every candidate; observed candidates score 0, and one
-    outside [0, n) raises MalformedInputError.  The instance's fast_marginals
-    hook answers first; where it returns None (the instance's prior and
-    utility are not its family), _cached_marginals does.
+    """Marginal of every candidate; observed candidates score 0, and a
+    candidate or a psi pair out of range raises MalformedInputError.  The
+    instance's fast_sav hook answers first, with an empty batch; where it
+    returns None (the instance's prior and utility are not its family),
+    _cached_marginals does.
 
     With cap=Q the utility is replaced by min(f, Q), so gains past the quota
     do not count.  Coverage policies score with the cap; budget policies
     score with the raw utility.
     """
-    _check_elements(inst, cands)
-    out = inst.fast_marginals and inst.fast_marginals(inst, psi, cands, cap)
-    return _cached_marginals(inst, psi, cands, cap) if out is None else out
-
-
-def _check_elements(inst: Instance, elems: Iterable[int]) -> None:
-    for e in elems:
-        if not 0 <= e < inst.n:
-            raise MalformedInputError(f"element {e} outside ground set of size {inst.n}")
+    check_elements(cands, inst.n)
+    _validate_psi_range(psi, inst.n, inst.num_outcomes)
+    out = inst.fast_sav and inst.fast_sav(inst, psi, [], cands, None, cap)
+    return _cached_marginals(inst, psi, cands, cap) if out is None else out[0]
 
 
 def _cached_marginals(inst: Instance, psi: PartialRealization, cands: list[int],

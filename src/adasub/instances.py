@@ -3,7 +3,7 @@
 Families: explicit tabular priors with stochastic-coverage utilities, product
 priors over random cover systems, the bags round-complexity instance, and the
 three-element truncation pair.  Families that admit closed-form or vectorized
-scoring install fast_marginals/fast_sav hooks on the built instance.
+scoring install a fast_sav hook on the built instance.
 """
 from __future__ import annotations
 
@@ -28,6 +28,7 @@ from .model import (
     TablePrior,
     UtilityFunction,
     cap_value,
+    check_elements,
     check_finite,
     read_number,
 )
@@ -179,9 +180,7 @@ class BagsPrior(Prior):
 
     def _check_elements(self, psi: PartialRealization) -> None:
         # psi's pairs are sorted by element, so the first and the last bound the rest
-        for e, _o in psi.pairs[:1] + psi.pairs[-1:]:
-            if not 0 <= e < self.n:
-                raise MalformedInputError(f"element {e} outside ground set of size {self.n}")
+        check_elements((e for e, _o in psi.pairs[:1] + psi.pairs[-1:]), self.n)
 
     def _check(self, psi: PartialRealization) -> list[int]:
         self._check_elements(psi)
@@ -254,8 +253,7 @@ class BagsPrior(Prior):
         merged = self._merged(psi)
         if e in merged:
             raise AlreadyObservedError(f"element {e} already observed")
-        if not 0 <= e < self.n:
-            raise MalformedInputError(f"element {e} outside ground set of size {self.n}")
+        check_elements((e,), self.n)
         free = self._check(merged)
         left = self.n - len(merged)
         return tuple((j, free[j] / left) for j in range(self.num_outcomes) if free[j] > 0)
@@ -296,13 +294,13 @@ def _bags_reveal(phi: Realization, e: int) -> list[tuple[int, int]]:
     return [(i, bag) for i, o in enumerate(phi) if o == bag]
 
 
-def _bags_fast_marginals(inst: Instance, psi: PartialRealization, cands, cap=None):
-    return (_bags_fast_sav(inst, psi, [], cands, None, cap) or (None,))[0]
+_bags_fast_marginals = None  # read by bench/tracing.py until ROADMAP item 8
 
 
 def _bags_fast_sav(inst: Instance, psi: PartialRealization, pending, cands, ctx, cap=None):
-    """Closed-form bags scores; None for any other (prior, utility) pair."""
-    if not (isinstance(inst.prior, BagsPrior) and isinstance(inst.utility, BagCountUtility)):
+    """Closed-form bags scores; None outside the family or for a conditioned prior."""
+    if not (isinstance(inst.prior, BagsPrior) and isinstance(inst.utility, BagCountUtility)
+            and not len(inst.prior._base)):
         return None
     sizes = inst.prior.sizes
     k = len(sizes)
@@ -376,13 +374,12 @@ def _bags_capped_gain(free: list[int], seen: set[int], T: int, m: int, cap: floa
 
 
 def _hooks(prior: Prior, utility: UtilityFunction) -> dict[str, Any]:
-    """Instance keyword arguments naming the reveal rule and scorer hooks of a
+    """Instance keyword arguments naming the reveal rule and scorer hook of a
     (prior, utility) pair, read from the module globals at each call."""
     if isinstance(prior, BagsPrior) and isinstance(utility, BagCountUtility):
-        return dict(reveal=_bags_reveal, fast_marginals=_bags_fast_marginals,
-                    fast_sav=_bags_fast_sav)
+        return dict(reveal=_bags_reveal, fast_sav=_bags_fast_sav)
     if isinstance(prior, ProductPrior) and isinstance(utility, CoverUtility):
-        return dict(zip(("fast_marginals", "fast_sav"), _cover_fast_hooks(prior, utility)))
+        return dict(fast_sav=_cover_fast_hooks(prior, utility)[1])
     return {}
 
 
@@ -553,13 +550,9 @@ def _cover_fast_sav(inst: Instance, psi: PartialRealization, pending, cands, ctx
     return savs, denom
 
 
-def _cover_fast_marginals(inst: Instance, psi: PartialRealization, cands, cap=None):
-    return (_cover_fast_sav(inst, psi, [], cands, None, cap) or (None,))[0]
-
-
 def _cover_fast_hooks(prior: ProductPrior, utility: CoverUtility):
-    """The cover scorer hooks, which bench/tracing.py wraps through this name."""
-    return _cover_fast_marginals, _cover_fast_sav
+    """(None, the cover scorer hook): the pair bench/tracing.py wraps until ROADMAP item 8."""
+    return None, _cover_fast_sav
 
 
 def build_stochastic_cover(

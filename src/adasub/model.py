@@ -237,6 +237,13 @@ class Prior:
         return rows
 
 
+def check_elements(elems: Iterable[int], n: int) -> None:
+    """Reject any element outside the ground set range(n)."""
+    for e in elems:
+        if not 0 <= e < n:
+            raise MalformedInputError(f"element {e} outside ground set of size {n}")
+
+
 def _validate_psi_range(psi: PartialRealization, n: int, m: int) -> None:
     for e, o in psi.pairs:
         if not (0 <= e < n):
@@ -317,8 +324,7 @@ class TablePrior(Prior):
         if e in psi:
             raise AlreadyObservedError(f"element {e} already observed")
         _validate_psi_range(psi, self.n, self.num_outcomes)
-        if not (0 <= e < self.n):
-            raise MalformedInputError(f"element {e} outside ground set of size {self.n}")
+        check_elements((e,), self.n)
         acc: dict[int, list[float]] = {}
         for t, w in self._consistent_rows(psi):
             acc.setdefault(t[e], []).append(w)
@@ -424,8 +430,7 @@ class ProductPrior(Prior):
     def outcome_dist(self, e: int, psi: PartialRealization) -> tuple[tuple[int, float], ...]:
         if e in psi:
             raise AlreadyObservedError(f"element {e} already observed")
-        if not (0 <= e < self.n):
-            raise MalformedInputError(f"element {e} outside ground set of size {self.n}")
+        check_elements((e,), self.n)
         self._check_consistent(psi)
         return self._nonzero[e]
 
@@ -502,13 +507,14 @@ class Instance:
         reveal(phi, e) -> iterable of (element, outcome) pairs instead of just
         (e, phi[e]).  Used by instance families where one observation exposes
         others (the utility still scores the selected projection only).
-    fast_marginals / fast_sav: optional scoring hooks, used when present.
-        fast_sav has the signature of policies._sav_and_denom, through which
-        policies score every decision state, empty batch included;
-        fast_marginals has that of engine.marginals_for and serves it.  Both
-        are exact except where the _sav_and_denom docstring says ("sav-mc").
-        A hook reads the prior and utility of the instance it is handed and
-        returns None outside its family; the definition then answers.
+    fast_sav: optional scorer hook with the signature of
+        policies._sav_and_denom; policies score every decision state through
+        it, and engine.marginals_for asks it with an empty batch and ctx None,
+        which a hook then never reads.  Exact except where _sav_and_denom says
+        ("sav-mc").  A hook reads the instance it is handed and returns None
+        outside its family, the bags hook also for a conditioned BagsPrior;
+        the definition then answers, and raises AlreadyObservedError for an
+        element such a prior holds observed.
     """
 
     name: str
@@ -518,7 +524,6 @@ class Instance:
     utility: UtilityFunction
     coverage: CoverageSpec | None = None
     reveal: Callable[[Realization, int], Iterable[tuple[int, int]]] | None = None
-    fast_marginals: Callable | None = None
     fast_sav: Callable | None = None
 
     def __post_init__(self):

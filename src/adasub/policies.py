@@ -27,10 +27,9 @@ from .engine import (
     Policy,
     PolicyContext,
     Select,
-    _check_elements,
+    _cached_marginals,
     _checked_support,
     _walk,
-    marginals_for,
 )
 from .errors import InfeasibleError, MalformedInputError, TooLargeError
 from .model import (
@@ -39,7 +38,9 @@ from .model import (
     CoverageSpec,
     Instance,
     PartialRealization,
+    _validate_psi_range,
     cap_value,
+    check_elements,
 )
 
 # Tolerance for score-versus-threshold equality.  Thresholds are produced by
@@ -337,12 +338,12 @@ def _sav_and_denom(
     per-branch best the fully adaptive policy would see (0.0, with zero
     scores, when no such element is left).  cap=Q scores against min(f, Q).
     The instance's fast_sav hook answers first; where it returns None (the
-    instance's prior and utility are not its family), an empty batch is
-    one marginals_for call, and a non-empty one is exact when its joint
-    enumerates under the branch cap, else a seeded Monte Carlo fallback
-    flagged "sav-mc".  The cover hook on product priors scores uncapped and
-    dead batches (no reachable item left uncovered) exactly, without branches,
-    so there "sav-mc" means a sample entered a nonzero reference term or score.
+    instance's prior and utility are not its family), each branch is one
+    engine._cached_marginals call (no range check; an empty batch is one
+    branch), exact when the joint enumerates under the branch cap, else a
+    seeded Monte Carlo fallback flagged "sav-mc".  The cover hook on product
+    priors scores uncapped and dead batches (no reachable item left uncovered)
+    exactly, so there "sav-mc" means a sample entered a nonzero term.
     """
     out = inst.fast_sav and inst.fast_sav(inst, psi, pending, cands, ctx, cap)
     if out is not None:
@@ -352,7 +353,7 @@ def _sav_and_denom(
     if not free:
         return [0.0 for _ in cands], 0.0
     if not pending:
-        savs = marginals_for(inst, psi, free, cap)
+        savs = _cached_marginals(inst, psi, free, cap)
         denom = max(savs)
     else:
         try:
@@ -369,7 +370,7 @@ def _sav_and_denom(
         denom = 0.0
         for assign, p in branches:
             psi_b = psi.union(PartialRealization(dict(zip(pending, assign))))
-            margs = marginals_for(inst, psi_b, free, cap)
+            margs = _cached_marginals(inst, psi_b, free, cap)
             for j, m in enumerate(margs):
                 savs[j] += p * m
             denom += p * max(margs)
@@ -388,7 +389,8 @@ def sav_values(
     pend = list(pending)
     blocked = set(psi.domain) | set(pend)
     cl = list(cands) if cands is not None else [e for e in range(inst.n) if e not in blocked]
-    _check_elements(inst, pend + cl)
+    check_elements(pend + cl, inst.n)
+    _validate_psi_range(psi, inst.n, inst.num_outcomes)
     ctx = ctx or PolicyContext(seed=0)
     savs, _ = _sav_and_denom(inst, psi, pend, cl, ctx, cap)
     return savs
@@ -426,7 +428,8 @@ def semi_adaptive_value(
     ctx: PolicyContext | None = None,
 ) -> float:
     """Expected marginal of e once the pending batch resolves, given psi."""
-    _check_elements(inst, [e, *state.pending])
+    check_elements([e, *state.pending], inst.n)
+    _validate_psi_range(state.psi, inst.n, inst.num_outcomes)
     if e in state.psi or e in state.pending:
         raise AlreadyObservedError(f"element {e} is already in the decision state")
     ctx = ctx or PolicyContext(seed=EXACT_SEED)

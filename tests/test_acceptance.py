@@ -208,9 +208,7 @@ def test_criterion_07_degenerate_collapse(capsys, corpus, cover_corpus):
                 [1.0 if o == phi[e] else 0.0 for o in range(inst.num_outcomes)]
                 for e in range(inst.n)
             ]
-            det = dataclasses.replace(
-                inst, prior=ProductPrior(onehot), fast_marginals=None, fast_sav=None
-            )
+            det = dataclasses.replace(inst, prior=ProductPrior(onehot), fast_sav=None)
             semi = run_policy(semi_adaptive_greedy_coverage(eps=0.1), det, phi)
             plain = run_policy(greedy_coverage(), det, phi)
             if semi.rounds != 1 or semi.selected != plain.selected:

@@ -751,6 +751,17 @@ def test_marginals_for_and_cap(tiny_cover):
     assert marginals_for(tiny_cover, PartialRealization([(0, 0)]), [0, 1]) == [0.0, 1.0]
 
 
+def test_marginals_for_asks_the_scorer_hook():
+    # A replaced fast_sav answers marginals_for too, with an empty batch and
+    # no context: no second hook is left to answer with the family's scores.
+    def scripted(inst, psi, pending, cands, ctx, cap=None):
+        assert pending == [] and ctx is None
+        return [0.25 * e for e in cands], 9.0
+
+    inst = dataclasses.replace(build_stochastic_cover(6, 12, 2, seed=3), fast_sav=scripted)
+    assert marginals_for(inst, EMPTY, [1, 2, 5]) == [0.25, 0.5, 1.25]
+
+
 def test_greedy_tie_on_bags_picks_smallest_free_id():
     # Every free bags element scores the same, and a revealed one scores 0, so
     # each pick is the smallest id neither selected nor revealed.
@@ -775,8 +786,7 @@ def test_kernel_tie_picks_first_candidate(policy):
     def fast_sav(inst, psi, pending, cands, ctx, cap=None):
         return [0.5] * len(cands), 0.5
 
-    inst = dataclasses.replace(build_stochastic_cover(6, 12, 2, seed=3),
-                               fast_marginals=None, fast_sav=fast_sav)
+    inst = dataclasses.replace(build_stochastic_cover(6, 12, 2, seed=3), fast_sav=fast_sav)
     tr = run_policy(policy, inst, (0,) * inst.n)
     assert len(tr.selected) >= 4 and tr.selected == tuple(range(len(tr.selected)))
 

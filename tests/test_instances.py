@@ -32,7 +32,13 @@ from adasub.instances import (
     load_instance,
     save_instance,
 )
-from adasub.model import EMPTY, CoverageSpec, PartialRealization, ProductPrior
+from adasub.model import (
+    EMPTY,
+    AlreadyObservedError,
+    CoverageSpec,
+    PartialRealization,
+    ProductPrior,
+)
 from adasub.policies import (
     SemiAdaptiveState,
     _sav_and_denom,
@@ -207,7 +213,7 @@ def test_bags_conditional_sampling(bags2):
 
 
 def test_bags_fast_hooks_match_generic(bags3):
-    plain = dataclasses.replace(bags3, fast_marginals=None, fast_sav=None)
+    plain = dataclasses.replace(bags3, fast_sav=None)
     states = [
         SemiAdaptiveState.make(EMPTY, ()),
         SemiAdaptiveState.make(EMPTY, (0, 3)),
@@ -226,7 +232,7 @@ def test_bags_fast_hooks_match_generic(bags3):
     # pending elements.
     for k in (3, 4):
         inst = build_bags(k)
-        plain = dataclasses.replace(inst, fast_marginals=None, fast_sav=None)
+        plain = dataclasses.replace(inst, fast_sav=None)
         rng = np.random.default_rng(k)
         for _ in range(30):
             order = [int(e) for e in rng.permutation(inst.n)]
@@ -249,7 +255,7 @@ def test_bags_hooks_apply_quota_cap():
     # A quota below the bag count caps the count utility; the hooks must score
     # min(f, quota) as the hook-free path does.
     inst = dataclasses.replace(build_bags(3), coverage=CoverageSpec(quota=2.0, eta=1.0))
-    plain = dataclasses.replace(inst, fast_marginals=None, fast_sav=None)
+    plain = dataclasses.replace(inst, fast_sav=None)
     for pol in (semi_adaptive_greedy_coverage(0.1), semi_adaptive_greedy_coverage(0.2, "ig"),
                 greedy_coverage()):
         fast, slow = evaluate_exact(pol, inst), evaluate_exact(pol, plain)
@@ -308,7 +314,7 @@ def test_stochastic_cover_deterministic_generation():
 
 def test_cover_hooks_match_generic():
     inst = build_stochastic_cover(5, 8, 2, seed=1)
-    plain = dataclasses.replace(inst, fast_marginals=None, fast_sav=None)
+    plain = dataclasses.replace(inst, fast_sav=None)
     states = [
         SemiAdaptiveState.make(EMPTY, ()),
         SemiAdaptiveState.make(EMPTY, (1, 3)),
@@ -351,7 +357,7 @@ def test_cover_hooks_match_generic_random_states(m, weighted):
     n, universe = 8, 12
     build = _weighted_cover if weighted else build_stochastic_cover
     inst = build(n, universe, m, seed=20 + m)
-    plain = dataclasses.replace(inst, fast_marginals=None, fast_sav=None)
+    plain = dataclasses.replace(inst, fast_sav=None)
     rng = np.random.default_rng([m, weighted])
     sub_rng = np.random.default_rng([m, weighted, 1])
     for _ in range(6):
@@ -450,7 +456,7 @@ def test_cover_dead_batches_settle_without_branches(m, weighted, monkeypatch):
     n, universe = 8, 12
     build = _weighted_cover if weighted else build_stochastic_cover
     inst = build(n, universe, m, seed=20 + m)
-    plain = dataclasses.replace(inst, fast_marginals=None, fast_sav=None)
+    plain = dataclasses.replace(inst, fast_sav=None)
     dead = [(psi, pending) for psi, pending, live in
             _grown_batches(inst, np.random.default_rng([m, weighted, 2]), 40) if not live]
     assert len(dead) >= 6 and any(len(p) >= 3 for _psi, p in dead)
@@ -474,7 +480,7 @@ def test_cover_dead_batches_settle_without_branches(m, weighted, monkeypatch):
 
 def test_cover_one_live_item_still_branches(monkeypatch):
     inst = build_stochastic_cover(8, 12, 2, seed=22)
-    plain = dataclasses.replace(inst, fast_marginals=None, fast_sav=None)
+    plain = dataclasses.replace(inst, fast_sav=None)
     psi, pending = next(
         (psi, pending) for psi, pending, live in
         _grown_batches(inst, np.random.default_rng(3), 40)
@@ -601,7 +607,7 @@ def _replaced(case):
 @pytest.mark.parametrize("case", ["cover-prior", "cover-weights", "bags-modular"])
 def test_replaced_prior_or_utility_scores_the_new_model(case):
     inst = _replaced(case)
-    plain = dataclasses.replace(inst, fast_marginals=None, fast_sav=None)
+    plain = dataclasses.replace(inst, fast_sav=None)
     # The hooks a fresh build of the new pair gets, bound to no earlier model.
     fresh = dataclasses.replace(inst, **_hooks(inst.prior, inst.utility))
     if case == "cover-prior":  # the definition's figures; the stale hook read 3.904, 2.749, 7.519
@@ -640,7 +646,7 @@ def test_cover_tables_go_with_their_instance():
 def test_scoring_entry_points_reject_elements_outside_ground_set(family, hooked, e):
     inst = build_stochastic_cover(6, 10, 2, seed=1) if family == "cover" else build_bags(3)
     if not hooked:
-        inst = dataclasses.replace(inst, fast_marginals=None, fast_sav=None)
+        inst = dataclasses.replace(inst, fast_sav=None)
     e = inst.n if e == "n" else e
     state, pending_e = SemiAdaptiveState.make(EMPTY, [0]), SemiAdaptiveState.make(EMPTY, [e])
     for score in (lambda: marginals_for(inst, EMPTY, [1, e]),
@@ -651,6 +657,37 @@ def test_scoring_entry_points_reject_elements_outside_ground_set(family, hooked,
         with pytest.raises(MalformedInputError,
                            match=f"^element {e} outside ground set of size {inst.n}$"):
             score()
+
+
+@pytest.mark.parametrize("pair", ["-1", "n", "m"])
+@pytest.mark.parametrize("hooked", [True, False], ids=["hooked", "plain"])
+@pytest.mark.parametrize("family", ["cover", "bags"])
+def test_scoring_entry_points_reject_psi_out_of_range(family, hooked, pair):
+    inst = build_stochastic_cover(6, 10, 2, seed=1) if family == "cover" else build_bags(3)
+    if not hooked:
+        inst = dataclasses.replace(inst, fast_sav=None)
+    e, o = {"-1": (-1, 0), "n": (inst.n, 0), "m": (0, inst.num_outcomes)}[pair]
+    psi = PartialRealization({e: o})
+    message = (f"^outcome {o} outside label range of size {o}$" if pair == "m"
+               else f"^element {e} outside ground set of size {inst.n}$")
+    for score in (lambda: marginals_for(inst, psi, [1, 2]),
+                  lambda: sav_values(inst, psi, [], [1]),
+                  lambda: sav_values(inst, psi, [1], [2]),
+                  lambda: semi_adaptive_value(inst, SemiAdaptiveState.make(psi, [1]), 2)):
+        with pytest.raises(MalformedInputError, match=message):
+            score()
+
+
+def test_conditioned_bags_prior_is_scored_by_the_definition(bags3):
+    # The hook models an unconditioned prior, so it declines this one: the
+    # free elements score 0.75 (3 of 4 open slots lie in unseen bags), and
+    # elements 0 and 1, observed by the prior, are no candidates.
+    cond = dataclasses.replace(bags3, prior=bags3.prior.condition(PartialRealization({0: 2, 1: 2})))
+    psi = PartialRealization({2: 2})
+    for inst in (cond, dataclasses.replace(cond, fast_sav=None)):
+        assert marginals_for(inst, psi, [3, 4, 5, 6]) == [0.75] * 4
+        with pytest.raises(AlreadyObservedError, match="^element 0 already observed$"):
+            sav_values(inst, psi, [])
 
 
 def test_loaded_instances_keep_hooks(tmp_path):
