@@ -7,6 +7,7 @@ far and is the state every policy and utility operates on.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -256,7 +257,8 @@ class TablePrior(Prior):
     """Explicit weighted list of realizations (the canonical prior form).
 
     Zero-weight rows are dropped, duplicate realizations merged, and weights
-    normalized to sum to one at construction.
+    normalized to sum to one at construction.  Queries find the rows consistent
+    with psi in `_masks`, one row bitset per (element, outcome), built lazily.
     """
 
     kind = "table"
@@ -314,11 +316,26 @@ class TablePrior(Prior):
             i = len(self._rows) - 1
         return self._rows[i][0]
 
+    @functools.cached_property
+    def _masks(self) -> list[list[int]]:
+        """Row index: bit i of `_masks[e][o]` is set iff row i has outcome o at e."""
+        masks = [[0] * self.num_outcomes for _ in range(self.n)]
+        for i, (t, _) in enumerate(self._rows):
+            for e, o in enumerate(t):
+                masks[e][o] |= 1 << i
+        return masks
+
     def _consistent_rows(self, psi: PartialRealization) -> Iterator[tuple[Realization, float]]:
-        pairs = psi.pairs
-        for t, w in self._rows:
-            if all(t[e] == o for e, o in pairs):
-                yield t, w
+        """Rows consistent with psi, in row order.  Callers validate psi's range
+        first: a negative element or outcome would index the masks from the end."""
+        rows = self._rows
+        bits = (1 << len(rows)) - 1
+        for e, o in psi.pairs:
+            bits &= self._masks[e][o]
+        while bits:
+            low = bits & -bits
+            yield rows[low.bit_length() - 1]
+            bits ^= low
 
     def outcome_dist(self, e: int, psi: PartialRealization) -> tuple[tuple[int, float], ...]:
         if e in psi:

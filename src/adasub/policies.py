@@ -445,6 +445,8 @@ def _gap_ratio(top: float, denom: float) -> float:
 def _gap(inst: Instance, state: SemiAdaptiveState, ctx: PolicyContext | None, gap: str) -> float:
     """Gap ratio of a decision state; 1.0 when no candidate is left.  "rig"
     scores its top term as the reference term of an empty batch."""
+    check_elements(state.pending, inst.n)
+    _validate_psi_range(state.psi, inst.n, inst.num_outcomes)
     ctx = ctx or PolicyContext(seed=EXACT_SEED)
     pending = list(state.pending)
     blocked = set(state.psi.domain) | set(pending)

@@ -46,6 +46,7 @@ from adasub.policies import (
     greedy_max,
     information_gap,
     optimal_coverage_cost,
+    restricted_information_gap,
     sav_values,
     semi_adaptive_greedy_coverage,
     semi_adaptive_greedy_max,
@@ -676,6 +677,27 @@ def test_scoring_entry_points_reject_psi_out_of_range(family, hooked, pair):
                   lambda: semi_adaptive_value(inst, SemiAdaptiveState.make(psi, [1]), 2)):
         with pytest.raises(MalformedInputError, match=message):
             score()
+
+
+@pytest.mark.parametrize("case", ["psi-1", "psi-n", "psi-m", "pending-1", "pending-n"])
+@pytest.mark.parametrize("hooked", [True, False], ids=["hooked", "plain"])
+@pytest.mark.parametrize("family", ["cover", "bags"])
+def test_gap_ratios_reject_states_out_of_range(family, hooked, case):
+    inst = build_stochastic_cover(6, 10, 2, seed=1) if family == "cover" else build_bags(3)
+    if not hooked:
+        inst = dataclasses.replace(inst, fast_sav=None)
+    n, m = inst.n, inst.num_outcomes
+    psi, pending, message = {
+        "psi-1": ({-1: 0}, [1], f"^element -1 outside ground set of size {n}$"),
+        "psi-n": ({n: 0}, [1], f"^element {n} outside ground set of size {n}$"),
+        "psi-m": ({0: m}, [1], f"^outcome {m} outside label range of size {m}$"),
+        "pending-1": ({0: 0}, [-1], f"^element -1 outside ground set of size {n}$"),
+        "pending-n": ({0: 0}, [n], f"^element {n} outside ground set of size {n}$"),
+    }[case]
+    state = SemiAdaptiveState.make(PartialRealization(psi), pending)
+    for gap in (information_gap, restricted_information_gap):
+        with pytest.raises(MalformedInputError, match=message):
+            gap(inst, state)
 
 
 def test_conditioned_bags_prior_is_scored_by_the_definition(bags3):

@@ -210,6 +210,62 @@ def test_condition_equals_posterior_ratio(prior, data):
                             abs_tol=1e-9)
 
 
+@pytest.mark.parametrize("pair", ["-1", "n", "m"])
+def test_table_queries_reject_psi_out_of_range(pair):
+    p = TablePrior([((0, 1, 1), 0.5), ((1, 0, 1), 0.25), ((1, 1, 0), 0.25)])
+    e, o = {"-1": (-1, 0), "n": (p.n, 0), "m": (0, p.num_outcomes)}[pair]
+    psi = PartialRealization({e: o})
+    message = (f"^outcome {o} outside label range of size {o}$" if pair == "m"
+               else f"^element {e} outside ground set of size {p.n}$")
+    for query in (lambda: p.outcome_dist(1, psi), lambda: p.mass(psi),
+                  lambda: p.condition(psi), lambda: p.joint_dist(psi, [1, 2], cap=10)):
+        with pytest.raises(MalformedInputError, match=message):
+            query()
+
+
+def _check_row_index(prior: TablePrior, psi: PartialRealization) -> None:
+    """The index answers like a filter of the support, down to the last bit."""
+    rows = [(t, w) for t, w in prior.support() if all(t[e] == o for e, o in psi.pairs)]
+    assert list(prior._consistent_rows(psi)) == rows
+    assert prior.mass(psi) == math.fsum(w for _, w in rows)
+    free = [e for e in range(prior.n) if e not in psi]
+    if not rows:
+        for query in (lambda: prior.joint_dist(psi, free, cap=10**4),
+                      lambda: prior.condition(psi)):
+            with pytest.raises(InconsistentObservationError):
+                query()
+        return
+    total = math.fsum(w for _, w in rows)
+    for e in free:
+        outs = sorted({t[e] for t, _ in rows})
+        assert prior.outcome_dist(e, psi) == tuple(
+            (o, math.fsum(w for t, w in rows if t[e] == o) / total) for o in outs)
+    keys = sorted({tuple(t[e] for e in free) for t, _ in rows})
+    assert prior.joint_dist(psi, free, cap=10**4) == [
+        (a, math.fsum(w for t, w in rows if tuple(t[e] for e in free) == a) / total)
+        for a in keys]
+
+
+def _draw_psi(prior: TablePrior, data) -> PartialRealization:
+    """psi over a random subset, read off a support row or drawn freely."""
+    elems = data.draw(st.lists(st.integers(0, prior.n - 1), unique=True))
+    if data.draw(st.booleans()):
+        phi = data.draw(st.sampled_from([t for t, _ in prior.support()]))
+        return PartialRealization.project(phi, elems)
+    return PartialRealization(
+        {e: data.draw(st.integers(0, prior.num_outcomes - 1)) for e in elems})
+
+
+@given(prior=_TABLES, data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_row_index_matches_support_filter(prior, data):
+    psi = _draw_psi(prior, data)
+    _check_row_index(prior, psi)
+    if prior.mass(psi) > 0:
+        cond = prior.condition(psi)
+        _check_row_index(cond, _draw_psi(cond, data))
+
+
 # --- product priors ---------------------------------------------------------------
 
 
