@@ -8,24 +8,26 @@ combinators too.  _Run checks the actions of every policy, and of every
 combinator's inner policies.
 
 One driver, _walk, runs every policy.  It walks the policy tree: one run
-starts with a list of realization rows, at each QUERY the rows split by reply,
-and every part goes on from a live run forked at the split.  Without a reveal
-hook a reply is the rows' outcomes on the pending batch, so the rows split by
-those and _reply builds one reply per part; under a hook _reply answers each
-row.  A generator with fork(ctx) (the greedy kernel behind every
-marginal-driven policy) is forked onto a fork of its context that carries the
-rng state and flags; any other generator (the combinators, a fixed sequence,
-the DP policies, user code) logs each reply it was sent with the action it
-yielded, and its fork is a fresh start fed that log.  A plain run (run_policy,
-evaluate_mc, the Monte Carlo verifiers) is the walk over one row, on the
-caller's seed.  Exact evaluation and threshold calibration walk the prior
-support (times the seed space, capped at max_support) at a fixed seed; exact
-evaluation takes each leaf's rows as one batch, valued by one utility call per
-outcome tuple.  So in exact mode a policy's actions must depend only on theta,
-ctx.rng and the replies; one that yields other actions when fed its log raises
-PolicyBugError.  A forked kernel meets each decision state once; a replayed
-generator scores its states again, and a fork goes on from the rng state at
-its split, so scores and their flags stay those of a plain run.
+starts with the rows (phi, weight) that Prior.support() yields, walked once;
+at each QUERY the rows split by reply, and every part goes on from a live run
+forked at the split.  Without a reveal hook a reply is the rows' outcomes on
+the pending batch, so the rows split by those and _reply builds one reply per
+part; under a hook _reply answers each row.  A generator with fork(ctx) (the
+greedy kernel behind every marginal-driven policy) is forked onto a fork of
+its context that carries the rng state, flags and score trail; any other
+generator (the combinators, a fixed sequence, the DP policies, user code) logs
+each reply it was sent with the action it yielded, and its fork is a fresh
+start fed that log.  A plain run (run_policy, evaluate_mc, the Monte Carlo
+verifiers) is the walk over one row, on the caller's seed.  Exact evaluation
+and threshold calibration stream the prior support (times the seed space,
+capped at max_support) at a fixed seed; exact evaluation takes each leaf's
+rows as one batch, valued by one utility call per outcome tuple, and
+calibration reads each leaf's score trail off its run's context.  So in exact
+mode a policy's actions must depend only on theta, ctx.rng and the replies;
+one that yields other actions when fed its log raises PolicyBugError.  A
+forked kernel meets each decision state once; a replayed generator scores its
+states again, and a fork goes on from the rng state at its split, so scores
+and their flags stay those of a plain run.
 """
 from __future__ import annotations
 
@@ -77,13 +79,15 @@ class PolicyContext:
 
     theta is the resolved seed-space value for randomized policies; rng is a
     lazily created deterministic generator for internal sampling fallbacks.
-    flags collect notes (for example "sav-mc") that surface in reports.
+    flags collect notes (for example "sav-mc") that surface in reports, and
+    trail the best scores a threshold policy tested, in order.
     """
 
     theta: Any = None
     seed: int = 0
     flags: set[str] = field(default_factory=set)
-    _rng: np.random.Generator | None = None
+    trail: list[float] = field(default_factory=list, init=False, repr=False)
+    _rng: np.random.Generator | None = field(default=None, init=False, repr=False)
 
     @property
     def rng(self) -> np.random.Generator:
@@ -98,8 +102,9 @@ class PolicyContext:
 
     def fork(self) -> "PolicyContext":
         """A context that goes on from this one's state: the same theta, seed
-        and rng state, and a copy of the flags."""
+        and rng state, and copies of the flags and the trail."""
         kid = PolicyContext(theta=self.theta, seed=self.seed, flags=set(self.flags))
+        kid.trail = list(self.trail)
         if self._rng is not None:
             import numpy as np
             kid._rng = np.random.default_rng(self.seed)
@@ -185,7 +190,7 @@ def _execute(policy: Policy, inst: Instance, phi: Realization, theta: Any, rng_s
              collect_rounds: bool = False) -> PolicyTrace:
     """One plain run against phi: the _walk over the single row phi, on the
     caller's seed.  A single row never splits."""
-    (leaf,) = _walk(policy, inst, [(0, phi, 1.0)], theta, rng_seed)
+    (leaf,) = _walk(policy, inst, [(phi, 1.0)], theta, rng_seed)
     return _trace(inst, phi, leaf, collect_rounds)
 
 
@@ -344,22 +349,22 @@ class EvalReport:
         }
 
 
-def _checked_support(inst: Instance, branches: int) -> list[tuple[int, Realization, float]]:
-    """The prior support as _walk rows (index, phi, weight), once support
+def _checked_support(inst: Instance, branches: int) -> Iterator[tuple[Realization, float]]:
+    """The prior support, unlisted, as _walk rows (phi, weight), once support
     size x `branches` is within max_support."""
     cap = cap_value("max_support")
     size = inst.prior.support_size() * branches
     if size > cap:
         raise TooLargeError(f"exact evaluation needs {size} traces (support x seed branches),"
                             f" cap {cap}")
-    return [(j, phi, w) for j, (phi, w) in enumerate(inst.prior.support())]
+    return inst.prior.support()
 
 
-def _walk(policy: Policy, inst: Instance, rows: list, theta: Any, seed: int = EXACT_SEED):
-    """Leaves of the policy tree on coin theta over rows (index, phi, weight):
-    each leaf's rows, with the selections, cost, round marks and observations
-    they share, and the context and generator of the run that ended there.  A
-    run starts with every row; at each QUERY its rows split by reply (and by
+def _walk(policy: Policy, inst: Instance, rows: Iterable, theta: Any, seed: int = EXACT_SEED):
+    """Leaves of the policy tree on coin theta over rows (phi, weight), walked
+    once: each leaf's rows as a list, with the selections, cost, round marks
+    and observations they share, and the context of the run that ended there.
+    A run starts with every row; at each QUERY its rows split by reply (and by
     what it newly reveals): with no reveal hook by their outcomes on the
     pending batch, one _reply per part, else by each row's _reply.  Each part
     goes on, with copies of the bookkeeping and its own reply, from a live run
@@ -416,27 +421,27 @@ def _walk(policy: Policy, inst: Instance, rows: list, theta: Any, seed: int = EX
             if inst.reveal is None:  # a reply is the pending outcomes: one _reply per part
                 outcomes = _outcomes(pending)
                 for row in group:
-                    parts.setdefault(outcomes(row[1]), []).append(row)
-                parts = {_reply(inst, part[0][1], pending, observed): part
+                    parts.setdefault(outcomes(row[0]), []).append(row)
+                parts = {_reply(inst, part[0][0], pending, observed): part
                          for part in parts.values()}
             else:
                 for row in group:
-                    parts.setdefault(_reply(inst, row[1], pending, observed), []).append(row)
+                    parts.setdefault(_reply(inst, row[0], pending, observed), []).append(row)
             (key, group), *rest = parts.items()
             for k, part in rest:
                 stack.append((part, *fork(run, ctx), list(selected), dict(observed),
                               list(marks), cost, k))
             stack.append((group, run, ctx, selected, observed, marks, cost, key))
             break
-        else:
-            yield group, selected, cost, marks, observed, ctx, run.gen
+        else:  # a run that never split still holds the caller's rows
+            yield list(group) if key is None else group, selected, cost, marks, observed, ctx
 
 
 def _trace(inst: Instance, phi: Realization, leaf: tuple,
            collect_rounds: bool = False) -> PolicyTrace:
     """The trace of a _walk leaf against its row phi; value and gains come
     from the utility of each selection prefix."""
-    _group, selected, cost, marks, observed, ctx, _gen = leaf
+    _group, selected, cost, marks, observed, ctx = leaf
     psi, vals = EMPTY, [inst.utility(EMPTY)]
     for e in selected:
         psi = psi.extend(e, phi[e])
@@ -464,30 +469,31 @@ def _outcomes(items: list[int]) -> Callable[[Realization], Any]:
 
 
 def _exact_rows(policy: Policy, inst: Instance) -> Iterator[tuple]:
-    """(seed branch, [(w * pt, value)] per row of the leaf's group, _walk leaf)
-    for each leaf of the walks over prior support x policy seed branches at
-    EXACT_SEED.  A row's value is f of its outcomes on the leaf's selections,
-    one utility call per outcome tuple of the leaf."""
+    """([(w * pt, value)] per row of the leaf's group, _walk leaf) for each
+    leaf of the walks over a fresh pass of the prior support per policy seed
+    branch, at EXACT_SEED.  A row's value is f of its outcomes on the leaf's
+    selections, one utility call per outcome tuple of the leaf."""
     rows = _checked_support(inst, len(policy.seed_space))
-    for b, (theta, pt) in enumerate(policy.seed_space):
+    for theta, pt in policy.seed_space:
         if pt <= 0:
             continue
-        for leaf in _walk(policy, inst, rows, theta):
+        for leaf in _walk(policy, inst, rows or inst.prior.support(), theta):
             group, selected = leaf[0], leaf[1]
             outcomes, values, batch = _outcomes(selected), {}, []
-            for _j, phi, w in group:
+            for phi, w in group:
                 o = outcomes(phi)
                 if (v := values.get(o)) is None:
                     v = values[o] = inst.utility(PartialRealization.project(phi, selected))
                 batch.append((w * pt, v))
-            yield b, batch, leaf
+            yield batch, leaf
+        rows = None  # the walk used up the checked pass
 
 
 def evaluate_exact(policy: Policy, inst: Instance) -> EvalReport:
     """Exact expectations by enumerating prior support x policy seed branches."""
     f_terms, c_terms, r_terms = [], [], []
     flags: set[str] = set()
-    for _b, batch, (_group, _sel, cost, marks, _obs, ctx, _gen) in _exact_rows(policy, inst):
+    for batch, (_group, _sel, cost, marks, _obs, ctx) in _exact_rows(policy, inst):
         for w, v in batch:
             f_terms.append(w * v)
             c_terms.append(w * cost)

@@ -10,8 +10,9 @@ budget, observe and accept rules, with or without the instance's coverage
 goal.  It scores every decision state, gap tests included, through
 _sav_and_denom.  It is a generator with fork, so engine._walk forks it at
 each split by copying its state; the walk forks the plain generators here
-by a fresh start fed their log.  calibrate_tau walks it over the support
-with engine._walk to read off the score trail of each leaf.
+by a fresh start fed their log.  calibrate_tau walks threshold_policy at
+tau = -inf over the support with engine._walk and reads the score trail off
+the context of each leaf.
 """
 from __future__ import annotations
 
@@ -83,16 +84,16 @@ class _Greedy:
     and stops the run once the quota is reached; when nothing left helps in
     expectation the batch is resolved first, and with no batch outstanding
     the run ends flagged "uncovered".
-    accept sees each best score before its pick, which `trail` records; False
-    observes the batch and ends the run.
+    accept sees each best score before its pick, which ctx.trail records;
+    False observes the batch and ends the run.
 
     It is a generator written out (iter, next and send), so its state is
     plain data: psi (built once per reply), the selected set, the pending
-    batch, the trail, ref and done.  psi holds through a batch, so the
-    batch's first decision settles the quota check and scores ref, the
-    reference term that "rig" gaps compare against; done ends the run at the
-    next resume.  fork(ctx) copies that state onto another context, which lets
-    engine._walk go on from a split without replaying the steps before it.
+    batch, ref and done.  psi holds through a batch, so the batch's first
+    decision settles the quota check and scores ref, the reference term that
+    "rig" gaps compare against; done ends the run at the next resume.
+    fork(ctx) copies that state onto another context, which lets engine._walk
+    go on from a split without replaying the steps before it.
     """
 
     def __init__(self, inst: Instance, ctx: PolicyContext, budget: int, *, every: int,
@@ -106,15 +107,13 @@ class _Greedy:
         self.psi = EMPTY
         self.selected: set[int] = set()
         self.pending: list[int] = []
-        self.trail: list[float] = []
         self.ref = 0.0
         self.done = False
 
     def fork(self, ctx: PolicyContext) -> "_Greedy":
         kid = _Greedy.__new__(_Greedy)
         kid.__dict__.update(self.__dict__)
-        kid.ctx, kid.selected = ctx, set(self.selected)
-        kid.pending, kid.trail = list(self.pending), list(self.trail)
+        kid.ctx, kid.selected, kid.pending = ctx, set(self.selected), list(self.pending)
         return kid
 
     def __iter__(self) -> "_Greedy":
@@ -168,7 +167,7 @@ class _Greedy:
         if observe:
             return QUERY
         if self.accept is not None:
-            self.trail.append(best)
+            ctx.trail.append(best)
             if not self.accept(best):
                 if not pending:
                     return None
@@ -235,22 +234,16 @@ def threshold_policy(tau: float, coin_p: float = 0.0, mode: str = "marginal") ->
 
 
 def _score_paths(inst: Instance, mode: str) -> list[tuple[float, list[float]]]:
-    """(weight, best-score path) of the threshold kernel run to exhaustion,
-    one per support row: the trail of the kernel at each leaf of its
-    engine._walk, which a fork inherits, so it names the leaf's whole path.
-    Mode "sav" observes nothing before its last pick, so it walks the first
-    row alone, with weight 1, and checks no support cap."""
-    every = 1 if mode == "marginal" else inst.n
-    kernel = Policy(name="threshold kernel", play=lambda inst, ctx: _Greedy(
-        inst, ctx, inst.n, every=every, accept=lambda _score: True))
-    if mode == "marginal":
-        rows = _checked_support(inst, 1)
-    else:
-        rows = [(0, next(iter(inst.prior.support()))[0], 1.0)]
-    paths = []
-    for group, *_, gen in _walk(kernel, inst, rows, None):
-        paths.extend((w, gen.trail) for _j, _phi, w in group)
-    return paths
+    """(weight, best-score path) of the threshold policy of `mode` run to
+    exhaustion, one per support row: threshold_policy at tau = -inf, which
+    every finite score passes, walked by engine._walk; each leaf's ctx.trail,
+    which a forked or replayed context carries from the split, names the
+    leaf's whole path.  Mode "sav" observes nothing before its last pick, so
+    it walks the first row alone, with weight 1, and checks no support cap."""
+    rows = (_checked_support(inst, 1) if mode == "marginal"
+            else [(next(iter(inst.prior.support()))[0], 1.0)])
+    leaves = _walk(threshold_policy(-math.inf, mode=mode), inst, rows, None)
+    return [(w, ctx.trail) for group, *_, ctx in leaves for _phi, w in group]
 
 
 def _count_until_fail(scores: list[float], tau: float, inclusive: bool) -> int:

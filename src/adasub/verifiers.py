@@ -197,7 +197,7 @@ def verify_eta(inst: Instance) -> BoundCheckResult:
 def _value_and_count(policy: Policy, inst: Instance) -> tuple[float, float]:
     """Exact f_avg and expected selection count of a policy, from one pass."""
     f_terms, k_terms = [], []
-    for _b, batch, leaf in _exact_rows(policy, inst):
+    for batch, leaf in _exact_rows(policy, inst):
         for w, v in batch:
             f_terms.append(w * v)
             k_terms.append(w * len(leaf[1]))
@@ -212,19 +212,27 @@ def expected_selection_count(policy: Policy, inst: Instance) -> float:
 # --- threshold-policy value bounds --------------------------------------------
 
 
+def _calibrated_bound(name: str, inst: Instance, pi_star: Policy, ell: int, mode: str,
+                      rate: float, witness: Callable[[float, float], str]) -> BoundCheckResult:
+    """The ell-calibrated threshold policy of `mode` against (1 - e^{-rate
+    ell/(E[K]+1)}) * f_avg(pi_star), witnessed by witness(E[K], f_avg(pi_star))."""
+    f_star, ek = _value_and_count(pi_star, inst)
+    if f_star <= _TOL:
+        return _result(name, inst, 0.0, 0.0, "vacuous: f_avg(opt)=0")
+    try:
+        cal = calibrate_tau(inst, ell, mode=mode)
+    except InfeasibleError as exc:
+        return _result(name, inst, 0.0, 0.0, f"skipped: calibration infeasible: {exc}")
+    lhs = f_avg_exact(cal.policy(), inst)
+    rhs = (1.0 - math.exp(-rate * ell / (ek + 1.0))) * f_star
+    return _result(name, inst, lhs, rhs, witness(ek, f_star))
+
+
 def verify_lemma1(inst: Instance, pi_star: Policy, ell: int) -> BoundCheckResult:
     """Value of the ell-calibrated threshold policy against the scaled optimum:
     f_avg(threshold_ell) >= (1 - e^{-ell/(E[K]+1)}) * f_avg(pi_star)."""
-    f_star, ek = _value_and_count(pi_star, inst)
-    if f_star <= _TOL:
-        return _result("lemma1", inst, 0.0, 0.0, "vacuous: f_avg(opt)=0")
-    try:
-        cal = calibrate_tau(inst, ell)
-    except InfeasibleError as exc:
-        return _result("lemma1", inst, 0.0, 0.0, f"skipped: calibration infeasible: {exc}")
-    lhs = f_avg_exact(cal.policy(), inst)
-    rhs = (1.0 - math.exp(-ell / (ek + 1.0))) * f_star
-    return _result("lemma1", inst, lhs, rhs, f"ell={ell} EK={ek!r} f_star={f_star!r}")
+    return _calibrated_bound("lemma1", inst, pi_star, ell, "marginal", 1.0,
+                             lambda ek, f_star: f"ell={ell} EK={ek!r} f_star={f_star!r}")
 
 
 def verify_eq_main(inst: Instance, pi_star: Policy, i: int) -> BoundCheckResult:
@@ -299,16 +307,8 @@ def verify_batch_lemma8(inst: Instance, pi_star: Policy, ell: int, eps: float) -
     (1 - e^{-(1-eps) ell / (E[K]+1)}) * f_avg(pi_star), eps in [0, 1)."""
     if not 0.0 <= eps < 1.0:
         raise MalformedInputError(f"eps must lie in [0, 1), got {eps!r}")
-    f_star, ek = _value_and_count(pi_star, inst)
-    if f_star <= _TOL:
-        return _result("batch-lemma8", inst, 0.0, 0.0, "vacuous: f_avg(opt)=0")
-    try:
-        cal = calibrate_tau(inst, ell, mode="sav")
-    except InfeasibleError as exc:
-        return _result("batch-lemma8", inst, 0.0, 0.0, f"skipped: calibration infeasible: {exc}")
-    lhs = f_avg_exact(cal.policy(), inst)
-    rhs = (1.0 - math.exp(-(1.0 - eps) * ell / (ek + 1.0))) * f_star
-    return _result("batch-lemma8", inst, lhs, rhs, f"ell={ell} eps={eps!r} EK={ek!r}")
+    return _calibrated_bound("batch-lemma8", inst, pi_star, ell, "sav", 1.0 - eps,
+                             lambda ek, _f_star: f"ell={ell} eps={eps!r} EK={ek!r}")
 
 
 # --- round-structure measurements ---------------------------------------------

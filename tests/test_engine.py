@@ -283,15 +283,18 @@ def _plain_traces(policy, inst):
 
 def _rows_in_order(policy, inst):
     """The (weight, trace) rows of _exact_rows' leaf batches, in _plain_traces'
-    order: each row's trace is _trace of its leaf, and the row's value is the
-    trace's."""
-    phis = [phi for phi, _w in inst.prior.support()]
-    flat = [((row[0], b), w, value, leaf) for b, batch, leaf in _exact_rows(policy, inst)
-            for row, (w, value) in zip(leaf[0], batch)]
+    order (a row is known by its phi, unique within a support, and its branch
+    by its leaf context's theta): each row's trace is _trace of its leaf, and
+    the row's value is the trace's."""
+    index = {phi: j for j, (phi, _w) in enumerate(inst.prior.support())}
+    thetas = [theta for theta, _pt in policy.seed_space]
+    flat = [((index[phi], thetas.index(leaf[5].theta)), phi, w, value, leaf)
+            for batch, leaf in _exact_rows(policy, inst)
+            for (phi, _w), (w, value) in zip(leaf[0], batch)]
     out = []
-    for (j, _b), w, value, leaf in sorted(flat, key=lambda row: row[0]):
-        tr = _trace(inst, phis[j], leaf)
-        assert value == tr.value, (policy.name, j)
+    for _key, phi, w, value, leaf in sorted(flat, key=lambda row: row[0]):
+        tr = _trace(inst, phi, leaf)
+        assert value == tr.value, (policy.name, phi)
         out.append((w, tr))
     return out
 
@@ -418,7 +421,6 @@ def test_exact_runs_policy_once_per_reply_sequence():
 
 def test_exact_forks_a_bare_kernel_instead_of_restarting_it():
     inst = build_stochastic_cover(8, 16, 2, seed=0)
-    rows = _checked_support(inst, 1)
     for base in (greedy_max(4), semi_adaptive_greedy_coverage(eps=0.2),
                  threshold_policy(0.5, coin_p=0.25)):
         starts = []
@@ -434,7 +436,8 @@ def test_exact_forks_a_bare_kernel_instead_of_restarting_it():
             sequences = set()
             for phi, _w in inst.prior.support():
                 _execute(_reply_log(base, sequences), inst, phi, theta, rng_seed=EXACT_SEED)
-            assert len(list(_walk(base, inst, rows, theta))) == len(sequences), base.name
+            leaves = _walk(base, inst, _checked_support(inst, 1), theta)
+            assert len(list(leaves)) == len(sequences), base.name
 
 
 def test_context_fork_goes_on_from_the_rng_state_with_its_own_flags():
@@ -527,12 +530,11 @@ def test_split_by_pending_outcomes_equals_the_per_row_reply(build):
     # replies, but makes the walk build a _reply for every row.
     inst = build()
     hooked = dataclasses.replace(inst, reveal=lambda phi, e: [(e, phi[e])])
-    rows = _checked_support(inst, 1)
 
     def leaves(pol, inst, theta):
-        return [([j for j, _phi, _w in group], selected, cost, marks, list(observed.items()))
-                for group, selected, cost, marks, observed, _ctx, _gen
-                in _walk(pol, inst, rows, theta)]
+        return [([phi for phi, _w in group], selected, cost, marks, list(observed.items()))
+                for group, selected, cost, marks, observed, _ctx
+                in _walk(pol, inst, _checked_support(inst, 1), theta)]
 
     for pol in _every_policy(inst, 3):
         for theta, _pt in pol.seed_space:
@@ -586,10 +588,12 @@ def test_exact_rows_come_in_leaf_batches_valued_once_per_outcome_tuple():
     pol = greedy_max(4)
     leaves = list(_exact_rows(pol, inst))
     assert len(leaves) == 16
-    assert sorted(j for *_, leaf in leaves for j, _phi, _w in leaf[0]) == list(range(256))
-    assert all(len(leaf[0]) == len(batch) for _b, batch, leaf in leaves)
-    tuples = sum(len({tuple(phi[e] for e in leaf[1]) for _j, phi, _w in leaf[0]})
-                 for *_, leaf in leaves)
+    assert (sorted(phi for _batch, leaf in leaves for phi, _w in leaf[0])
+            == sorted(phi for phi, _w in inst.prior.support()))
+    assert len({phi for phi, _w in inst.prior.support()}) == 256
+    assert all(len(leaf[0]) == len(batch) for batch, leaf in leaves)
+    tuples = sum(len({tuple(phi[e] for e in leaf[1]) for phi, _w in leaf[0]})
+                 for _batch, leaf in leaves)
     calls = []
 
     class CountedCover(CoverUtility):  # still a cover, so the cover scorer still applies

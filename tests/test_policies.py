@@ -141,6 +141,34 @@ def test_calibration_scores_each_state_once():
         assert cals[mode] == calibrate_tau(base, 2, mode)
 
 
+@pytest.mark.parametrize("build", [lambda: build_stochastic_cover(6, 12, 2, seed=3),
+                                   lambda: build_random_tabular(4, 6, 0),
+                                   lambda: build_bags(3)], ids=["cover", "tab-s0", "bags-k3"])
+def test_calibration_walks_a_threshold_policy_without_fork(monkeypatch, build):
+    # A wrapper shaped like a tracer's re-yields the kernel through a plain
+    # generator, with no fork and no trail, so the walk restarts it at every
+    # split and calibration must read each leaf's trail off its context.
+    inst = build()
+    want = {mode: [calibrate_tau(inst, i, mode) for i in range(inst.n + 1)]
+            for mode in ("marginal", "sav")}
+    public, plays = policies.threshold_policy, []
+
+    def wrapped(*args, **kwargs):
+        pol = public(*args, **kwargs)
+
+        def play(inst, ctx):
+            plays.append(pol.name)
+            return (yield from pol.play(inst, ctx))
+
+        return Policy(name=pol.name, play=play, seed_space=pol.seed_space)
+
+    monkeypatch.setattr(policies, "threshold_policy", wrapped)
+    for mode, cals in want.items():
+        plays.clear()
+        assert [calibrate_tau(inst, i, mode) for i in range(inst.n + 1)] == cals, mode
+        assert plays, mode
+
+
 def test_calibration_extremes(anti_inst):
     zero = calibrate_tau(anti_inst, 0)
     assert c_avg_exact(zero.policy(), anti_inst) == 0.0
